@@ -15,6 +15,7 @@ module Bt = Mda_bt
 module W = Mda_workloads
 module F = Mda_fault
 module Srv = Mda_server
+module Spec = Mda_mech.Mech_spec
 
 (* (name, one-line description, runner); [mdabench list] and each
    subcommand's --help show the descriptions *)
@@ -200,41 +201,12 @@ let all_cmd =
 
 (* --- run a single benchmark under one mechanism ------------------------ *)
 
-let mech_string = function
-  | `Direct -> "direct" | `Static -> "static" | `Dynamic -> "dynamic"
-  | `Eh -> "eh" | `Eh_rearrange -> "eh+rearrange" | `Dpeh -> "dpeh"
-  | `Sa -> "sa" | `Sa_seq -> "sa-seq" | `Aot -> "aot"
-  | `Interp -> "interp" | `Native -> "native"
-
-let mechanism_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "direct" -> Ok `Direct
-    | "static" -> Ok `Static
-    | "dynamic" -> Ok `Dynamic
-    | "eh" -> Ok `Eh
-    | "eh+rearrange" -> Ok `Eh_rearrange
-    | "dpeh" -> Ok `Dpeh
-    | "sa" -> Ok `Sa
-    | "sa-seq" -> Ok `Sa_seq
-    | "aot" -> Ok `Aot
-    | "interp" -> Ok `Interp
-    | "native" -> Ok `Native
-    | _ -> Error (`Msg (Printf.sprintf "unknown mechanism %S" s))
-  in
-  Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (mech_string m))
-
-(* Instantiate a mechanism that needs per-benchmark preparation (train
-   profiles, static analysis). *)
-let make_mechanism ~scale ~threshold name = function
-  | `Direct -> Bt.Mechanism.Direct
-  | `Static -> Bt.Mechanism.Static_profiling (H.Experiment.train_summary ~scale name)
-  | `Dynamic -> Bt.Mechanism.Dynamic_profiling { threshold }
-  | `Eh -> Bt.Mechanism.Exception_handling { rearrange = false }
-  | `Eh_rearrange -> Bt.Mechanism.Exception_handling { rearrange = true }
-  | `Dpeh -> Bt.Mechanism.Dpeh { threshold; retranslate = Some 4; multiversion = true }
-  | `Sa -> H.Experiment.sa_mechanism ~scale ~unknown:Bt.Mechanism.Sa_fallback name
-  | `Sa_seq -> H.Experiment.sa_mechanism ~scale ~unknown:Bt.Mechanism.Sa_seq name
+(* [-m] of run/trace/hot: a run-family label, default eh *)
+let mechanism_arg ~doc =
+  Arg.(
+    value
+    & opt Spec.run_conv (Spec.Mech Spec.best_eh)
+    & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc)
 
 (* Hand-written workloads: [Workload.instantiate] dispatches any name
    ending in ".asm" to the textual assembler, so a file path can stand
@@ -292,15 +264,7 @@ let run_cmd =
       value & pos 0 (some string) None
       & info [] ~docv:"BENCHMARK" ~doc:"e.g. 410.bwaves (or --program FILE.asm)")
   in
-  let mech_arg =
-    Arg.(
-      value
-      & opt mechanism_conv `Eh
-      & info [ "m"; "mechanism" ] ~docv:"MECH"
-          ~doc:
-            "direct | static | dynamic | eh | eh+rearrange | dpeh | sa | sa-seq | aot | \
-             interp | native")
-  in
+  let mech_arg = mechanism_arg ~doc:(String.concat " | " (List.map fst Spec.run_labels)) in
   let threshold_arg =
     Arg.(value & opt int 50 & info [ "threshold" ] ~docv:"N" ~doc:"heating threshold")
   in
@@ -337,35 +301,24 @@ let run_cmd =
     let name = workload_name ~cmd:"run" bench program in
     let rules = load_rules rules_file in
     match mech with
-    | `Interp | `Native ->
-      let s, _ = H.Experiment.run_interp ~scale ~native:(mech = `Native) name in
+    | Spec.Interp { native } ->
+      let s, _ = H.Experiment.run_interp ~scale ~native name in
       Format.printf "%a@." Bt.Run_stats.pp s;
-      let mode = if mech = `Native then "native" else "interpreter" in
+      let mode = if native then "native" else "interpreter" in
       if selfcheck then
         Format.printf "selfcheck: nothing to check (no code cache in %s mode)@." mode;
       if validate then
         Format.printf "validate: nothing to check (no code cache in %s mode)@." mode;
       0
-    | (`Direct | `Static | `Dynamic | `Eh | `Eh_rearrange | `Dpeh | `Sa | `Sa_seq | `Aot)
-      as m ->
+    | Spec.Mech spec ->
       let sink = Option.map (fun _ -> Mda_obs.Trace.create ()) trace_out in
-      let stats, t =
-        match m with
-        | `Aot ->
-          (* static translation first, then execution of the immutable
-             cache — the selfcheck/validate flags then inspect the AOT
-             cache exactly as they would a dynamically built one *)
-          let stats, t, _, _ = H.Experiment.run_aot_rt ~scale ?sink ?rules name in
-          (stats, t)
-        | (`Direct | `Static | `Dynamic | `Eh | `Eh_rearrange | `Dpeh | `Sa | `Sa_seq) as m
-          ->
-          let mechanism = make_mechanism ~scale ~threshold name m in
-          H.Experiment.run_mechanism_rt ~scale ?sink ?rules ~mechanism name
+      let stats, t, _ =
+        H.Experiment.run_spec_rt ~scale ?sink ?rules (Spec.with_heating threshold spec) name
       in
       (match (trace_out, sink) with
       | Some file, Some s ->
         let jsonl =
-          Mda_obs.Trace.to_jsonl ~mechanism:(mech_string mech) ~bench:name ~scale ~stats s
+          Mda_obs.Trace.to_jsonl ~mechanism:(Spec.print_run mech) ~bench:name ~scale ~stats s
         in
         let oc = open_out file in
         output_string oc jsonl;
@@ -398,11 +351,7 @@ let run_cmd =
       in
       let validate_rc =
         if validate then begin
-          let mem = t.Bt.Runtime.cpu.Mda_machine.Cpu.mem in
-          let block_of start =
-            match Bt.Block.discover mem ~pc:start with Ok b -> Some b | Error _ -> None
-          in
-          let v = Mda_analysis.Validator.run ~cache ~block_of in
+          let v = Mda_analysis.Validator.run ~cache ~block_of:(Bt.Runtime.guest_block t) in
           Format.printf "%a@." Mda_analysis.Validator.pp_report v;
           if Mda_analysis.Validator.ok v then 0 else 2
         end
@@ -613,16 +562,14 @@ let aot_cmd =
     let istats, _ = Bt.Runtime.interpret_program ~mem:imem ~entry:(W.Workload.entry w) () in
     let idigest = Digest.bytes (Mda_machine.Memory.raw imem) in
     (* the AOT run *)
-    let astats, rt, tstats, analysis =
-      H.Experiment.run_aot_rt ~scale ~unknown ~mode ?rules name
+    let astats, rt, p =
+      H.Experiment.run_spec_rt ~scale ~mode ?rules (H.Cell.Aot { unknown }) name
     in
+    let analysis = Option.get p.Spec.analysis and tstats = snd (Option.get p.Spec.aot) in
     let adigest = Digest.bytes (Mda_machine.Memory.raw rt.Bt.Runtime.cpu.Mda_machine.Cpu.mem) in
     (* the same verdicts applied dynamically (translation at dispatch) *)
-    let summary = A.Dataflow.summary analysis in
-    let dstats, _ =
-      H.Experiment.run_mechanism_rt ~scale ?rules
-        ~mechanism:(Bt.Mechanism.Static_analysis { summary; unknown })
-        name
+    let dstats, _, _ =
+      H.Experiment.run_spec_rt ~scale ~mode ?rules (H.Cell.Static_analysis { unknown }) name
     in
     Printf.printf "== AOT: %s ==\n" name;
     let aligned, misaligned, unknown_sites = A.Dataflow.census analysis in
@@ -686,11 +633,9 @@ let aot_cmd =
       Printf.printf "traps: %Ld serviced by OS fixup (unknown sites under eh policy)\n"
         astats.Bt.Run_stats.traps;
     if validate then begin
-      let mem = rt.Bt.Runtime.cpu.Mda_machine.Cpu.mem in
-      let block_of start =
-        match Bt.Block.discover mem ~pc:start with Ok b -> Some b | Error _ -> None
+      let v =
+        A.Validator.run ~cache:rt.Bt.Runtime.cache ~block_of:(Bt.Runtime.guest_block rt)
       in
-      let v = A.Validator.run ~cache:rt.Bt.Runtime.cache ~block_of in
       Format.printf "%a@." A.Validator.pp_report v;
       if not (A.Validator.ok v) then rc := 2
     end;
@@ -711,8 +656,11 @@ let verify_cmd =
      patch slot resumable. Non-zero exit on any proven violation."
   in
   let mech_arg =
-    let doc = "Verify only this mechanism (default: all six paper mechanisms)." in
-    Arg.(value & opt (some mechanism_conv) None & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc)
+    let doc =
+      "Verify only this mechanism (default: the six paper mechanisms plus aot — every \
+       $(b,run) label except eh+rearrange, sa-seq, interp and native)."
+    in
+    Arg.(value & opt (some Spec.run_conv) None & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc)
   in
   let bench_arg =
     let doc =
@@ -728,33 +676,20 @@ let verify_cmd =
      (mechanism, benchmark) cell re-executes the benchmark, then checks.
      Workers return only printable strings — the cache itself does not
      cross the fork boundary. *)
-  let verify_cell scale plain_rules (name, m) =
+  let verify_cell scale plain_rules (name, spec) =
     (* activate per cell: [active] carries mutable hit counters, and the
        cell may run in a forked worker *)
     let rules = Option.map P.activate plain_rules in
-    let _stats, t =
-      match m with
-      | `Aot ->
-        let stats, t, _, _ = H.Experiment.run_aot_rt ~scale ?rules name in
-        (stats, t)
-      | (`Direct | `Static | `Dynamic | `Eh | `Eh_rearrange | `Dpeh | `Sa | `Sa_seq) as m
-        ->
-        let mechanism = make_mechanism ~scale ~threshold:50 name m in
-        H.Experiment.run_mechanism_rt ~scale ?rules ~mechanism name
-    in
+    let _stats, t, _ = H.Experiment.run_spec_rt ~scale ?rules spec name in
     let cache = t.Bt.Runtime.cache in
-    let mem = t.Bt.Runtime.cpu.Mda_machine.Cpu.mem in
-    let block_of start =
-      match Bt.Block.discover mem ~pc:start with Ok b -> Some b | Error _ -> None
-    in
-    let v = Mda_analysis.Validator.run ~cache ~block_of in
+    let v = Mda_analysis.Validator.run ~cache ~block_of:(Bt.Runtime.guest_block t) in
     let bailouts = Mda_analysis.Validator.budget_bailouts v in
     (* the observation lands in the run's counter registry too, so any
        consumer reading the registry sees proof-coverage gaps *)
     Bt.Counters.addi t.Bt.Runtime.counters Bt.Counters.Validator_bailouts bailouts;
     let c = Mda_analysis.Check.run cache in
     ( name,
-      mech_string m,
+      Spec.print_run (Spec.Mech spec),
       Mda_analysis.Validator.ok v,
       Format.asprintf "%a" Mda_analysis.Validator.pp_report v,
       Mda_analysis.Check.ok c,
@@ -766,14 +701,17 @@ let verify_cmd =
     let plain_rules = Option.map P.rules (load_rules rules_file) in
     let mechanisms =
       match mech with
-      | None -> [ `Direct; `Static; `Dynamic; `Eh; `Dpeh; `Sa; `Aot ]
-      | Some (`Interp | `Native) ->
+      | None ->
+        List.filter_map
+          (function
+            | ("eh+rearrange" | "sa-seq"), _ | _, Spec.Interp _ -> None
+            | _, Spec.Mech spec -> Some spec)
+          Spec.run_labels
+      | Some (Spec.Interp _ as k) ->
         Printf.eprintf "mdabench verify: nothing to verify (no code cache in %s mode)\n"
-          (mech_string (Option.get mech));
+          (Spec.print_run k);
         exit 1
-      | Some
-          ((`Direct | `Static | `Dynamic | `Eh | `Eh_rearrange | `Dpeh | `Sa | `Sa_seq
-           | `Aot ) as m) -> [ m ]
+      | Some (Spec.Mech spec) -> [ spec ]
     in
     let benches =
       let named =
@@ -914,15 +852,9 @@ let mine_cmd =
       Printf.eprintf "mdabench mine: --kill-check requires --rules FILE\n";
       1
     | Some _ as rules ->
-      let _stats, t =
-        H.Experiment.run_mechanism_rt ?rules ~mechanism:Bt.Mechanism.Direct bench
-      in
+      let _stats, t, _ = H.Experiment.run_spec_rt ?rules H.Cell.Direct bench in
       let cache = t.Bt.Runtime.cache in
-      let mem = t.Bt.Runtime.cpu.Mda_machine.Cpu.mem in
-      let block_of start =
-        match Bt.Block.discover mem ~pc:start with Ok b -> Some b | Error _ -> None
-      in
-      let o = A.Mutate.run ~cache ~block_of ~seed () in
+      let o = A.Mutate.run ~cache ~block_of:(Bt.Runtime.guest_block t) ~seed () in
       Format.printf "%a@." A.Mutate.pp_outcome o;
       let ratio = A.Mutate.kill_ratio o in
       Printf.printf "kill ratio with peephole tier: %.3f (gate 0.950)\n" ratio;
@@ -1024,18 +956,13 @@ module Obs = Mda_obs
    returns the sink and the run's stats. Shared by trace/hot. *)
 let traced_run name mech scale =
   match mech with
-  | `Interp | `Native ->
+  | Spec.Interp _ ->
     Printf.eprintf "mdabench: nothing to trace (no BT events in %s mode)\n"
-      (mech_string mech);
+      (Spec.print_run mech);
     exit 1
-  | `Aot ->
+  | Spec.Mech spec ->
     let sink = Obs.Trace.create () in
-    let stats, rt, _, _ = H.Experiment.run_aot_rt ~scale ~sink name in
-    (sink, stats, rt)
-  | (`Direct | `Static | `Dynamic | `Eh | `Eh_rearrange | `Dpeh | `Sa | `Sa_seq) as m ->
-    let mechanism = make_mechanism ~scale ~threshold:50 name m in
-    let sink = Obs.Trace.create () in
-    let stats, rt = H.Experiment.run_mechanism_rt ~scale ~sink ~mechanism name in
+    let stats, rt, _ = H.Experiment.run_spec_rt ~scale ~sink spec name in
     (sink, stats, rt)
 
 let trace_cmd =
@@ -1051,12 +978,7 @@ let trace_cmd =
       value & pos 0 (some string) None
       & info [] ~docv:"BENCHMARK" ~doc:"e.g. 410.bwaves (omit with --replay)")
   in
-  let mech_arg =
-    Arg.(
-      value
-      & opt mechanism_conv `Eh
-      & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc:"mechanism to trace")
-  in
+  let mech_arg = mechanism_arg ~doc:"mechanism to trace" in
   let limit_arg =
     Arg.(value & opt int 60 & info [ "limit" ] ~docv:"N" ~doc:"max events to print")
   in
@@ -1079,13 +1001,7 @@ let trace_cmd =
           ~doc:"replay a saved JSONL trace instead of running")
   in
   let replay_file file =
-    let text =
-      let ic = open_in_bin file in
-      let t = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      t
-    in
-    match Obs.Trace.of_jsonl text with
+    match Obs.Trace.of_jsonl (In_channel.with_open_bin file In_channel.input_all) with
     | Error e ->
       Printf.printf "replay FAILED: %s\n" e;
       2
@@ -1164,7 +1080,7 @@ let trace_cmd =
       | None -> ()
       | Some file ->
         let jsonl =
-          Obs.Trace.to_jsonl ~mechanism:(mech_string mech) ~bench:name ~scale ~stats sink
+          Obs.Trace.to_jsonl ~mechanism:(Spec.print_run mech) ~bench:name ~scale ~stats sink
         in
         let oc = open_out file in
         output_string oc jsonl;
@@ -1191,12 +1107,7 @@ let hot_cmd =
       value & pos 0 (some string) None
       & info [] ~docv:"BENCHMARK" ~doc:"e.g. 410.bwaves (omit with --from)")
   in
-  let mech_arg =
-    Arg.(
-      value
-      & opt mechanism_conv `Eh
-      & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc:"mechanism to attribute")
-  in
+  let mech_arg = mechanism_arg ~doc:"mechanism to attribute" in
   let top_arg =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"rows per table")
   in
@@ -1225,13 +1136,7 @@ let hot_cmd =
   let run bench mech scale top from =
     match (from, bench) with
     | Some file, _ -> (
-      let text =
-        let ic = open_in_bin file in
-        let t = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        t
-      in
-      match Obs.Trace.of_jsonl text with
+      match Obs.Trace.of_jsonl (In_channel.with_open_bin file In_channel.input_all) with
       | Error e ->
         Printf.eprintf "mdabench hot: %s: %s\n" file e;
         2
@@ -1248,7 +1153,7 @@ let hot_cmd =
     | None, Some name ->
       let sink, stats, rt = traced_run name mech scale in
       print_attribution ~top
-        ~label:(Printf.sprintf "%s / %s" name (mech_string mech))
+        ~label:(Printf.sprintf "%s / %s" name (Spec.print_run mech))
         (Obs.Trace.records sink) stats;
       Format.printf "@.counter registry:@.%a@." Bt.Counters.pp (Bt.Runtime.counters rt);
       0
@@ -1296,17 +1201,60 @@ let chaos_cmd =
     in
     Arg.(value & flag & info [ "inject-failure" ] ~doc)
   in
-  (* satellite UX: a failing battery must end with a one-line command
-     that reproduces exactly the failing cells *)
-  let reproducer ~serve ~seed ~plans ~failed_mechs =
+  (* One report for both batteries: a FAIL block per failed cell, the
+     per-mechanism table (the [columns] sum the cells' [counts]), the
+     harness-fault lines, the totals, and — on any failure — a one-line
+     command that reproduces exactly the failing cells. [cells] are
+     (plan, mechanism, problems, counts); no problems means passed. *)
+  let report ~serve ?program ~seed ~plans ~mechs ~inject ~columns ~harness cells =
+    let failed = List.filter (fun (_, _, problems, _) -> problems <> []) cells in
+    List.iter
+      (fun (plan, mech, problems, _) ->
+        Printf.printf "FAIL %s / %s\n" plan mech;
+        List.iter (fun p -> Printf.printf "     %s\n" p) problems)
+      failed;
+    if inject then
+      Printf.printf "FAIL (synthetic) / %s\n     failure injected by --inject-failure\n"
+        (List.hd mechs);
+    Printf.printf "%-18s %7s %7s" "mechanism" "cells" "failed";
+    List.iter (fun (header, width) -> Printf.printf " %*s" width header) columns;
+    print_newline ();
+    List.iter
+      (fun m ->
+        let mine = List.filter (fun (_, mech, _, _) -> mech = m) cells in
+        let mine_failed = List.filter (fun (_, _, problems, _) -> problems <> []) mine in
+        Printf.printf "%-18s %7d %7d" m (List.length mine) (List.length mine_failed);
+        List.iteri
+          (fun i (_, width) ->
+            Printf.printf " %*d" width
+              (List.fold_left (fun a (_, _, _, counts) -> a + List.nth counts i) 0 mine))
+          columns;
+        print_newline ())
+      mechs;
+    List.iter
+      (fun (name, (ok, detail)) ->
+        Printf.printf "harness fault: %-32s %s (%s)\n" name
+          (if ok then "contained" else "FAIL") detail)
+      harness;
+    Printf.printf "chaos%s: %d plans x %d mechanisms = %d cells, %d failed\n"
+      (if serve then " --serve" else "")
+      plans (List.length mechs) (List.length cells)
+      (List.length failed + if inject then 1 else 0);
+    let failed_mechs =
+      List.filter
+        (fun m ->
+          (inject && m = List.hd mechs)
+          || List.exists (fun (_, mech, _, _) -> mech = m) failed)
+        mechs
+    in
     if failed_mechs <> [] then
-      Printf.printf "reproduce with: mdabench chaos%s --seed %d --plans %d -m %s\n"
+      Printf.printf "reproduce with: mdabench chaos%s --seed %d --plans %d%s -m %s\n"
         (if serve then " --serve" else "")
         seed plans
-        (String.concat "," failed_mechs)
-  in
-  let failed_mechs_of ~universe mechs_failed =
-    List.filter (fun m -> List.mem m mechs_failed) universe
+        (match program with Some p -> " --program " ^ p | None -> "")
+        (String.concat "," failed_mechs);
+    if failed = [] && List.for_all (fun (_, (ok, _)) -> ok) harness && not inject then 0
+    else 1
   in
   let run seed plans mechs serve inject program jobs =
     let universe = if serve then F.Mt_chaos.mechanism_names else F.Chaos.mechanism_names in
@@ -1315,96 +1263,54 @@ let chaos_cmd =
       | None -> universe
       | Some s -> String.split_on_char ',' s |> List.map String.trim
     in
+    let t0 = Unix.gettimeofday () in
+    let report = report ~serve ?program ~seed ~plans ~mechs ~inject in
     match List.filter (fun m -> not (List.mem m universe)) mechs with
     | bad :: _ ->
       Printf.eprintf "unknown mechanism %s (chaos%s knows: %s)\n" bad
         (if serve then " --serve" else "")
         (String.concat ", " universe);
       2
+    | [] when serve && program <> None ->
+      Printf.eprintf
+        "mdabench chaos: --serve runs generated tenant populations and does not take \
+         --program\n";
+      2
     | [] when serve ->
-      let t0 = Unix.gettimeofday () in
-      let outcomes = F.Mt_chaos.run ~jobs ~mechs ~seed ~plans () in
-      let failed = List.filter (fun o -> not o.F.Mt_chaos.ok) outcomes in
-      List.iter
-        (fun (o : F.Mt_chaos.outcome) ->
-          Printf.printf "FAIL %s / %s\n"
-            (F.Mt_plan.describe o.F.Mt_chaos.plan)
-            o.F.Mt_chaos.mech;
-          List.iter (fun p -> Printf.printf "     %s\n" p) o.F.Mt_chaos.problems)
-        failed;
-      if inject then
-        Printf.printf "FAIL (synthetic) / %s\n     failure injected by --inject-failure\n"
-          (List.hd mechs);
-      Printf.printf "%-18s %7s %7s %9s %9s %9s %9s %7s\n" "mechanism" "cells" "failed"
-        "sessions" "demoted" "restarts" "evicted" "traps";
-      List.iter
-        (fun m ->
-          let mine = List.filter (fun o -> o.F.Mt_chaos.mech = m) outcomes in
-          let sum f = List.fold_left (fun a o -> a + f o) 0 mine in
-          Printf.printf "%-18s %7d %7d %9d %9d %9d %9d %7d\n" m (List.length mine)
-            (sum (fun o -> if o.F.Mt_chaos.ok then 0 else 1))
-            (sum (fun o -> o.F.Mt_chaos.sessions))
-            (sum (fun o -> o.F.Mt_chaos.demotions))
-            (sum (fun o -> o.F.Mt_chaos.restarts))
-            (sum (fun o -> o.F.Mt_chaos.evictions))
-            (sum (fun o -> o.F.Mt_chaos.traps)))
-        mechs;
-      Printf.printf "chaos --serve: %d plans x %d mechanisms = %d cells, %d failed\n"
-        plans (List.length mechs) (List.length outcomes)
-        (List.length failed + if inject then 1 else 0);
-      let failed_mechs =
-        failed_mechs_of ~universe:mechs
-          (List.map (fun o -> o.F.Mt_chaos.mech) failed
-          @ if inject then [ List.hd mechs ] else [])
+      let rc =
+        report
+          ~columns:
+            [ ("sessions", 9); ("demoted", 9); ("restarts", 9); ("evicted", 9); ("traps", 7) ]
+          ~harness:[]
+          (List.map
+             (fun (o : F.Mt_chaos.outcome) ->
+               ( F.Mt_plan.describe o.plan,
+                 o.mech,
+                 o.problems,
+                 [ o.sessions; o.demotions; o.restarts; o.evictions; o.traps ] ))
+             (F.Mt_chaos.run ~jobs ~mechs ~seed ~plans ()))
       in
-      reproducer ~serve:true ~seed ~plans ~failed_mechs;
       Printf.eprintf "[mdabench] chaos --serve: %s\n%!"
         (Mda_util.Stats.duration (Unix.gettimeofday () -. t0));
-      if failed = [] && not inject then 0 else 1
+      rc
     | [] ->
-      let t0 = Unix.gettimeofday () in
-      let outcomes = F.Chaos.run ~jobs ~mechs ?program ~seed ~plans () in
-      let failed = List.filter (fun o -> not o.F.Chaos.ok) outcomes in
-      List.iter
-        (fun (o : F.Chaos.outcome) ->
-          Printf.printf "FAIL %s / %s\n" (F.Plan.describe o.F.Chaos.plan) o.F.Chaos.mech;
-          List.iter (fun p -> Printf.printf "     %s\n" p) o.F.Chaos.problems)
-        failed;
-      if inject then
-        Printf.printf "FAIL (synthetic) / %s\n     failure injected by --inject-failure\n"
-          (List.hd mechs);
-      Printf.printf "%-18s %7s %7s %9s %12s %9s %7s\n" "mechanism" "cells" "failed"
-        "evictions" "patch-faults" "degraded" "traps";
-      List.iter
-        (fun m ->
-          let mine = List.filter (fun o -> o.F.Chaos.mech = m) outcomes in
-          let sum f = List.fold_left (fun a o -> a + f o) 0 mine in
-          Printf.printf "%-18s %7d %7d %9d %12d %9d %7d\n" m (List.length mine)
-            (sum (fun o -> if o.F.Chaos.ok then 0 else 1))
-            (sum (fun o -> o.F.Chaos.evictions))
-            (sum (fun o -> o.F.Chaos.patch_faults))
-            (sum (fun o -> o.F.Chaos.degraded))
-            (sum (fun o -> o.F.Chaos.traps)))
-        mechs;
-      let harness = F.Chaos.harness_faults () in
-      List.iter
-        (fun (name, (ok, detail)) ->
-          Printf.printf "harness fault: %-32s %s (%s)\n" name
-            (if ok then "contained" else "FAIL") detail)
-        harness;
-      let harness_bad = List.exists (fun (_, (ok, _)) -> not ok) harness in
-      Printf.printf "chaos: %d plans x %d mechanisms = %d cells, %d failed\n" plans
-        (List.length mechs) (List.length outcomes)
-        (List.length failed + if inject then 1 else 0);
-      let failed_mechs =
-        failed_mechs_of ~universe:mechs
-          (List.map (fun o -> o.F.Chaos.mech) failed
-          @ if inject then [ List.hd mechs ] else [])
+      let cells =
+        List.map
+          (fun (o : F.Chaos.outcome) ->
+            ( F.Plan.describe o.plan,
+              o.mech,
+              o.problems,
+              [ o.evictions; o.patch_faults; o.degraded; o.traps ] ))
+          (F.Chaos.run ~jobs ~mechs ?program ~seed ~plans ())
       in
-      reproducer ~serve:false ~seed ~plans ~failed_mechs;
+      let rc =
+        report
+          ~columns:[ ("evictions", 9); ("patch-faults", 12); ("degraded", 9); ("traps", 7) ]
+          ~harness:(F.Chaos.harness_faults ()) cells
+      in
       Printf.eprintf "[mdabench] chaos: %s\n%!"
         (Mda_util.Stats.duration (Unix.gettimeofday () -. t0));
-      if failed = [] && (not harness_bad) && not inject then 0 else 1
+      rc
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
@@ -1454,7 +1360,7 @@ let serve_cmd =
   in
   let noisy_arg =
     let doc = "Comma-separated tenant ids given a bloat-heavy noisy-neighbour workload." in
-    Arg.(value & opt (some string) None & info [ "noisy" ] ~docv:"TIDS" ~doc)
+    Arg.(value & opt (list int) [] & info [ "noisy" ] ~docv:"TIDS" ~doc)
   in
   let storm_arg =
     let doc = "Tenant id given a misalignment-heavy trap-storm workload." in
@@ -1487,12 +1393,6 @@ let serve_cmd =
       2
     end
     else begin
-      let noisy =
-        match noisy with
-        | None -> []
-        | Some s ->
-          String.split_on_char ',' s |> List.map String.trim |> List.map int_of_string
-      in
       let storm_l = match storm with None -> [] | Some t -> [ t ] in
       (match List.find_opt (fun t -> t < 0 || t >= tenants) (noisy @ storm_l) with
       | Some t -> invalid_arg (Printf.sprintf "tenant id %d out of range (0..%d)" t (tenants - 1))
@@ -1535,13 +1435,7 @@ let serve_cmd =
          back in tenant order, so the report is jobs-invariant *)
       let iso =
         H.Pool.map ~jobs
-          ~f:(fun tid ->
-            let alone =
-              List.filter (fun (s : Srv.Scheduler.spec) -> s.Srv.Scheduler.tid = tid) specs
-            in
-            let io = Srv.Scheduler.run ~tenants cfg alone in
-            let tr = List.nth io.Srv.Scheduler.report.Srv.Scheduler.tenants tid in
-            tr.Srv.Scheduler.t_cycles)
+          ~f:(Srv.Scheduler.isolated_cycles ~tenants cfg specs)
           (List.init tenants Fun.id)
       in
       Printf.printf
@@ -1846,11 +1740,7 @@ let asm_cmd =
   in
   let run file listing mode =
     let text =
-      try
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
+      try In_channel.with_open_bin file In_channel.input_all
       with Sys_error msg ->
         Printf.eprintf "mdabench asm: %s\n" msg;
         exit 1

@@ -19,18 +19,19 @@ let () =
     (W.Spec.suite_name row.W.Spec.suite)
     row.W.Spec.nmi
     (row.W.Spec.ratio *. 100.);
-  let train = H.Experiment.train_summary ~scale name in
   let mechanisms =
-    [ ("direct (QEMU-style)", Bt.Mechanism.Direct);
-      ("static profiling (FX!32-style)", Bt.Mechanism.Static_profiling train);
-      ("dynamic profiling (IA-32 EL-style)", H.Experiment.best_dynamic);
-      ("exception handling (this paper)", H.Experiment.best_eh);
-      ("EH + rearrangement", Bt.Mechanism.Exception_handling { rearrange = true });
-      ("DPEH (+retrans +multiversion)", H.Experiment.best_dpeh) ]
+    [ ("direct (QEMU-style)", H.Cell.Direct);
+      ("static profiling (FX!32-style)", H.Cell.Static_profiling);
+      ("dynamic profiling (IA-32 EL-style)", H.Experiment.best_dynamic_spec);
+      ("exception handling (this paper)", H.Experiment.best_eh_spec);
+      ("EH + rearrangement", H.Cell.Exception_handling { rearrange = true });
+      ("DPEH (+retrans +multiversion)", H.Experiment.best_dpeh_spec) ]
   in
   let results =
     List.map
-      (fun (label, m) -> (label, H.Experiment.run_mechanism ~scale ~mechanism:m name))
+      (fun (label, spec) ->
+        let stats, _, _ = H.Experiment.run_spec_rt ~scale spec name in
+        (label, stats))
       mechanisms
   in
   let base =

@@ -202,6 +202,9 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
 (* --- block lookup ----------------------------------------------------- *)
 
+let guest_block t pc =
+  match Block.discover t.cpu.Machine.Cpu.mem ~pc with Ok b -> Some b | Error _ -> None
+
 let block_of t pc =
   match Hashtbl.find_opt t.blocks_decoded pc with
   | Some b -> b

@@ -107,6 +107,12 @@ val create : ?config:config -> ?cache:Code_cache.t -> mem:Mda_machine.Memory.t -
 (** The runtime's counter registry (same value as the [counters] field). *)
 val counters : t -> Counters.t
 
+(** The guest block at [pc] decoded afresh from the runtime's current
+    guest memory (not the dispatch-time decode cache), or [None] if it
+    does not decode: what the translation validator checks a cached
+    translation against. *)
+val guest_block : t -> int -> Block.t option
+
 (** Unrecoverable run failure: undecodable guest code, or a block the
     code generator cannot lower ({!Translate.Error}, re-raised here with
     the faulting guest address — the code cache is left untouched). *)

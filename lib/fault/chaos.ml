@@ -1,8 +1,9 @@
 (* Chaos runner: every mechanism under every fault plan, checked against
    the pure-interpreter oracle.
 
-   The design mirrors the differential test suite — same snapshot, same
-   oracle, same per-mechanism preparation — but swaps QCheck's random
+   The design mirrors the differential test suite — same check core
+   ({!Oracle}), same per-mechanism preparation ({!Mda_mech.Mech_spec}) —
+   but swaps QCheck's random
    workloads for {!Plan}'s seeded scenarios, adds the injected-fault
    knobs, and layers on the invariants that only matter under faults:
    post-eviction selfcheck, degradation finality, and exact trace
@@ -10,10 +11,10 @@
 
 module W = Mda_workloads
 module Bt = Mda_bt
-module Machine = Mda_machine
 module A = Mda_analysis
 module Obs = Mda_obs
 module H = Mda_harness
+module Spec = Mda_mech.Mech_spec
 
 type outcome = {
   plan : Plan.t;
@@ -30,93 +31,17 @@ type outcome = {
 let mechanism_names =
   [ "direct"; "static-profiling"; "dynamic-profiling"; "eh"; "dpeh"; "sa"; "aot" ]
 
-(* --- running and snapshotting ------------------------------------------ *)
-
-type state = { regs : int64 array; mem : string (* Digest *) }
-
-let snapshot cpu mem =
-  (* ESP excluded: engine-managed identically but uninteresting *)
-  { regs = Array.init 8 (fun i -> if i = 4 then 0L else Machine.Cpu.get cpu i);
-    mem = Digest.bytes (Machine.Memory.raw mem) }
-
-let state_eq a b = a.regs = b.regs && String.equal a.mem b.mem
+(* --- subjects ------------------------------------------------------------ *)
 
 (* What a chaos cell runs: either a plan's generated workload groups or
-   a hand-written [.asm] program, behind a common face. [fresh] yields
-   (entry, loaded memory) for the Ref input; [train] yields the
-   static-profiling summary (Train input where the notion exists). *)
-type subject = {
-  fresh : unit -> int * Machine.Memory.t;
-  train : unit -> Bt.Profile.summary;
-}
-
-let fresh groups =
-  let p = W.Gen.build ~input:W.Gen.Ref groups in
-  let mem = Machine.Memory.create ~size_bytes:Bt.Layout.mem_size in
-  Machine.Memory.load_image mem ~addr:p.W.Gen.asm_program.Mda_guest.Asm.base
-    p.W.Gen.asm_program.Mda_guest.Asm.image;
-  p.W.Gen.init mem;
-  (p.W.Gen.entry, mem)
-
-let train_summary groups =
-  let p = W.Gen.build ~input:W.Gen.Train groups in
-  let mem = Machine.Memory.create ~size_bytes:Bt.Layout.mem_size in
-  Machine.Memory.load_image mem ~addr:p.W.Gen.asm_program.Mda_guest.Asm.base
-    p.W.Gen.asm_program.Mda_guest.Asm.image;
-  p.W.Gen.init mem;
-  let _, profile =
-    Bt.Runtime.interpret_program ~mode:(Bt.Interp.Interpreted { profile = true }) ~mem
-      ~entry:p.W.Gen.entry ()
-  in
-  Bt.Profile.summarize profile
-
-let subject_of_groups groups =
-  { fresh = (fun () -> fresh groups); train = (fun () -> train_summary groups) }
+   a hand-written [.asm] program, as a preparation subject. *)
+let subject_of_groups ~name groups =
+  let load input () = W.Gen.load (W.Gen.build ~input groups) in
+  { Spec.name; image = load W.Gen.Ref; train = load W.Gen.Train }
 
 (* A [.asm] file has no Train input: the profiling run uses the same
    program (its data init is part of the source). *)
-let subject_of_program path =
-  let w = W.Workload.instantiate path in
-  let fresh () = (W.Workload.entry w, W.Workload.fresh_memory w) in
-  let train () =
-    let entry, mem = fresh () in
-    let _, profile =
-      Bt.Runtime.interpret_program ~mode:(Bt.Interp.Interpreted { profile = true }) ~mem
-        ~entry ()
-    in
-    Bt.Profile.summarize profile
-  in
-  { fresh; train }
-
-(* The oracle never translates (threshold beyond any loop count), so no
-   fault knob can touch it: pure phase-1 interpretation. *)
-let oracle subject =
-  let entry, mem = subject.fresh () in
-  let config =
-    Bt.Runtime.default_config (Bt.Mechanism.Dynamic_profiling { threshold = 1_000_000 })
-  in
-  let t = Bt.Runtime.create ~config ~mem () in
-  let _ = Bt.Runtime.run t ~entry in
-  snapshot t.Bt.Runtime.cpu mem
-
-let sa_summary subject =
-  let entry, mem = subject.fresh () in
-  A.Dataflow.summary (A.Dataflow.analyze mem ~entry)
-
-(* Per-mechanism preparation exactly as the harness does it: static
-   profiling trains on the Train input, static analysis runs the
-   congruence dataflow on the binary. Thresholds are low so translation
-   (and with it the bounded cache and the trap handler) engages. *)
-let mechanism_of subject = function
-  | "direct" -> Bt.Mechanism.Direct
-  | "static-profiling" -> Bt.Mechanism.Static_profiling (subject.train ())
-  | "dynamic-profiling" -> Bt.Mechanism.Dynamic_profiling { threshold = 3 }
-  | "eh" -> Bt.Mechanism.Exception_handling { rearrange = true }
-  | "dpeh" -> Bt.Mechanism.Dpeh { threshold = 2; retranslate = Some 2; multiversion = true }
-  | "sa" ->
-    Bt.Mechanism.Static_analysis
-      { summary = sa_summary subject; unknown = Bt.Mechanism.Sa_fallback }
-  | m -> invalid_arg ("Chaos.check: unknown mechanism " ^ m)
+let subject_of_program path = H.Cell.subject ~scale:1.0 ~input:W.Gen.Ref path
 
 (* --- the per-cell invariants ------------------------------------------- *)
 
@@ -136,150 +61,88 @@ let degradation_final records =
       | _ -> None)
     records
 
-(* AOT cells execute an immutable pre-populated cache. A plan that
-   bounds the cache capacity is rejected *up front*: eviction from an
-   AOT cache could never be repaired (nothing retranslates), so
-   {!Bt.Runtime.create} must refuse the combination — and the cell's
-   check is exactly that the refusal happens, instead of running the
-   plan. Unbounded plans run the full oracle/termination/selfcheck/
-   replay battery; the remaining fault knobs (patch budget, refusals)
-   are vacuous by construction, since an AOT mechanism never patches. *)
-let check_aot ?program plan =
-  let subject =
-    match program with
-    | Some p -> subject_of_program p
-    | None -> subject_of_groups (Plan.groups plan)
-  in
-  let problems = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let outcome stats =
-    let problems = List.rev !problems in
-    { plan;
-      mech = "aot";
-      ok = problems = [];
-      problems;
-      evictions = (match stats with Some s -> s.Bt.Run_stats.evictions | None -> 0);
-      patch_faults = (match stats with Some s -> s.Bt.Run_stats.patch_faults | None -> 0);
-      degraded = (match stats with Some s -> s.Bt.Run_stats.degraded | None -> 0);
-      traps = (match stats with Some s -> Int64.to_int s.Bt.Run_stats.traps | None -> 0);
-      translations = (match stats with Some s -> s.Bt.Run_stats.translations | None -> 0) }
-  in
-  let entry, mem = subject.fresh () in
-  let summary = sa_summary subject in
-  let unknown = Bt.Mechanism.Sa_fallback in
-  match Bt.Aot.translate_image ~summary ~unknown mem ~entry with
-  | Error e ->
-    fail "AOT translation failed: %s" e;
-    outcome None
-  | Ok (cache, _) -> (
-    let mechanism = Bt.Mechanism.Aot { summary; unknown } in
-    let sink = Obs.Trace.create () in
-    let config =
-      { (Bt.Runtime.default_config mechanism) with
-        flush_policy = plan.Plan.flush_policy;
-        faults = Plan.faults plan;
-        on_event = Some (Obs.Trace.hook sink) }
-    in
-    match plan.Plan.cache_capacity with
-    | Some _ -> (
-      match Bt.Runtime.create ~config ~cache ~mem () with
-      | exception Invalid_argument _ -> outcome None (* the required rejection *)
-      | (_ : Bt.Runtime.t) ->
-        fail "bounded-capacity fault was accepted on the immutable AOT cache";
-        outcome None)
-    | None ->
-      let expected = oracle subject in
-      let rt = Bt.Runtime.create ~config ~cache ~mem () in
-      Obs.Trace.attach sink rt;
-      let stats = Bt.Runtime.run rt ~entry in
-      let got = snapshot rt.Bt.Runtime.cpu mem in
-      if not (state_eq expected got) then
-        fail "guest state diverged from the pure-interpreter oracle";
-      if stats.Bt.Run_stats.stop <> Bt.Run_stats.Halted then
-        fail "run did not halt (%s)"
-          (Bt.Run_stats.stop_reason_to_string stats.Bt.Run_stats.stop);
-      if stats.Bt.Run_stats.translations <> 0 || stats.Bt.Run_stats.patches <> 0 then
-        fail "immutable AOT cache was written at runtime (%d translations, %d patches)"
-          stats.Bt.Run_stats.translations stats.Bt.Run_stats.patches;
-      let report = A.Check.run rt.Bt.Runtime.cache in
-      if not (A.Check.ok report) then
-        fail "selfcheck: %d violation(s), first: %s"
-          (List.length report.A.Check.violations)
-          (match report.A.Check.violations with
-          | v :: _ -> Format.asprintf "%a" A.Check.pp_violation v
-          | [] -> "-");
-      let jsonl =
-        Obs.Trace.to_jsonl ~mechanism:"aot" ~bench:(Printf.sprintf "chaos-%d" plan.Plan.id)
-          ~scale:1.0 ~stats sink
-      in
-      (match Obs.Trace.of_jsonl jsonl with
-      | Error e -> fail "trace does not parse: %s" e
-      | Ok file -> (
-        match Obs.Trace.replay file with
-        | Error e -> fail "trace does not replay: %s" e
-        | Ok replayed ->
-          if replayed <> stats then fail "replayed stats differ from the run's own"));
-      outcome (Some stats))
+(* One cell: prepare the mechanism exactly as the harness does (static
+   profiling trains on the Train input, static analysis and AOT run the
+   congruence dataflow on the binary), run the subject under the plan's
+   faults, and check it.
 
+   AOT cells execute an immutable pre-populated cache, which adds two
+   assertions. A plan that bounds the cache capacity must be rejected
+   *up front*: eviction from an AOT cache could never be repaired
+   (nothing retranslates), so {!Bt.Runtime.create} must refuse the
+   combination — and the cell's check is exactly that the refusal
+   happens, instead of running the plan. And an unbounded run must
+   neither translate nor patch; the remaining fault knobs (patch
+   budget, refusals) are vacuous by construction, since an AOT
+   mechanism never patches. *)
 let check ?program plan ~mech =
-  if String.equal mech "aot" then check_aot ?program plan
-  else
+  let spec =
+    match Spec.parse_stress mech with
+    | Ok s -> s
+    | Error _ -> invalid_arg ("Chaos.check: unknown mechanism " ^ mech)
+  in
+  let bench = Printf.sprintf "chaos-%d" plan.Plan.id in
   let subject =
     match program with
     | Some p -> subject_of_program p
-    | None -> subject_of_groups (Plan.groups plan)
+    | None -> subject_of_groups ~name:bench (Plan.groups plan)
   in
-  let expected = oracle subject in
-  let mechanism = mechanism_of subject mech in
-  let sink = Obs.Trace.create () in
-  let config =
-    { (Bt.Runtime.default_config mechanism) with
-      flush_policy = plan.Plan.flush_policy;
-      faults = Plan.faults plan;
-      on_event = Some (Obs.Trace.hook sink) }
-  in
-  let entry, mem = subject.fresh () in
-  let rt = Bt.Runtime.create ~config ~mem () in
-  Obs.Trace.attach sink rt;
-  let stats = Bt.Runtime.run rt ~entry in
-  let got = snapshot rt.Bt.Runtime.cpu mem in
+  let aot = match spec with Spec.Aot _ -> true | _ -> false in
   let problems = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  if not (state_eq expected got) then
-    fail "guest state diverged from the pure-interpreter oracle";
-  if stats.Bt.Run_stats.stop <> Bt.Run_stats.Halted then
-    fail "run did not halt (%s)"
-      (Bt.Run_stats.stop_reason_to_string stats.Bt.Run_stats.stop);
-  let report = A.Check.run ?capacity:plan.Plan.cache_capacity rt.Bt.Runtime.cache in
-  if not (A.Check.ok report) then
-    fail "selfcheck: %d violation(s), first: %s"
-      (List.length report.A.Check.violations)
-      (match report.A.Check.violations with
-      | v :: _ -> Format.asprintf "%a" A.Check.pp_violation v
-      | [] -> "-");
-  List.iter (fun p -> fail "degradation not final: %s" p)
-    (degradation_final (Obs.Trace.records sink));
-  let jsonl =
-    Obs.Trace.to_jsonl ~mechanism:mech ~bench:(Printf.sprintf "chaos-%d" plan.Plan.id)
-      ~scale:1.0 ~stats sink
+  let stats =
+    match Spec.prepare subject spec with
+    | exception Bt.Runtime.Runtime_error e ->
+      fail "%s" e;
+      None
+    | prepared -> (
+      let sink = Obs.Trace.create () in
+      let config =
+        { (Bt.Runtime.default_config prepared.Spec.mechanism) with
+          flush_policy = plan.Plan.flush_policy;
+          faults = Plan.faults plan;
+          on_event = Some (Obs.Trace.hook sink) }
+      in
+      let cache = Option.map fst prepared.Spec.aot in
+      let entry, mem = subject.Spec.image () in
+      match Bt.Runtime.create ~config ?cache ~mem () with
+      | exception Invalid_argument _ when aot && plan.Plan.cache_capacity <> None ->
+        None (* the required rejection *)
+      | (_ : Bt.Runtime.t) when aot && plan.Plan.cache_capacity <> None ->
+        fail "bounded-capacity fault was accepted on the immutable AOT cache";
+        None
+      | rt ->
+        Obs.Trace.attach sink rt;
+        let stats = Bt.Runtime.run rt ~entry in
+        let expected = Oracle.interpret (subject.Spec.image ()) in
+        if not (Oracle.state_eq expected (Oracle.state rt.Bt.Runtime.cpu)) then
+          fail "guest state diverged from the pure-interpreter oracle";
+        if stats.Bt.Run_stats.stop <> Bt.Run_stats.Halted then
+          fail "run did not halt (%s)"
+            (Bt.Run_stats.stop_reason_to_string stats.Bt.Run_stats.stop);
+        if aot && (stats.Bt.Run_stats.translations <> 0 || stats.Bt.Run_stats.patches <> 0)
+        then
+          fail "immutable AOT cache was written at runtime (%d translations, %d patches)"
+            stats.Bt.Run_stats.translations stats.Bt.Run_stats.patches;
+        Option.iter (fail "%s")
+          (Oracle.selfcheck_problem
+             (A.Check.run ?capacity:plan.Plan.cache_capacity rt.Bt.Runtime.cache));
+        List.iter (fail "degradation not final: %s")
+          (degradation_final (Obs.Trace.records sink));
+        Option.iter (fail "%s") (Oracle.replay_problem ~mechanism:mech ~bench ~stats sink);
+        Some stats)
   in
-  (match Obs.Trace.of_jsonl jsonl with
-  | Error e -> fail "trace does not parse: %s" e
-  | Ok file -> (
-    match Obs.Trace.replay file with
-    | Error e -> fail "trace does not replay: %s" e
-    | Ok replayed ->
-      if replayed <> stats then fail "replayed stats differ from the run's own"));
   let problems = List.rev !problems in
+  let count f = match stats with Some s -> f s | None -> 0 in
   { plan;
     mech;
     ok = problems = [];
     problems;
-    evictions = stats.Bt.Run_stats.evictions;
-    patch_faults = stats.Bt.Run_stats.patch_faults;
-    degraded = stats.Bt.Run_stats.degraded;
-    traps = Int64.to_int stats.Bt.Run_stats.traps;
-    translations = stats.Bt.Run_stats.translations }
+    evictions = count (fun s -> s.Bt.Run_stats.evictions);
+    patch_faults = count (fun s -> s.Bt.Run_stats.patch_faults);
+    degraded = count (fun s -> s.Bt.Run_stats.degraded);
+    traps = count (fun s -> Int64.to_int s.Bt.Run_stats.traps);
+    translations = count (fun s -> s.Bt.Run_stats.translations) }
 
 (* --- harness faults ----------------------------------------------------- *)
 
@@ -372,22 +235,7 @@ let harness_faults () =
 (* --- the sweep ---------------------------------------------------------- *)
 
 let run ?(jobs = 1) ?(mechs = mechanism_names) ?program ~seed ~plans () =
-  let rng = Mda_util.Rng.create (Int64.of_int seed) in
-  let ps = List.init plans (fun id -> Plan.random ~rng ~id) in
-  let cells = List.concat_map (fun p -> List.map (fun m -> (p, m)) mechs) ps in
-  let results = H.Pool.map ~jobs ~f:(fun (p, m) -> check ?program p ~mech:m) cells in
-  List.mapi
-    (fun i (p, m) ->
-      match results.(i) with
-      | Ok o -> o
-      | Error e ->
-        { plan = p;
-          mech = m;
-          ok = false;
-          problems = [ "worker: " ^ e ];
-          evictions = 0;
-          patch_faults = 0;
-          degraded = 0;
-          traps = 0;
-          translations = 0 })
-    cells
+  Oracle.sweep ~jobs ~mechs ~seed ~plans ~draw:Plan.random ~check:(check ?program)
+    ~worker_failed:(fun plan mech problem ->
+      { plan; mech; ok = false; problems = [ problem ]; evictions = 0; patch_faults = 0;
+        degraded = 0; traps = 0; translations = 0 })

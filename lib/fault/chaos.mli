@@ -41,8 +41,14 @@ type outcome = {
     repaired), which counts as the cell passing. *)
 val mechanism_names : string list
 
-(** Run one (plan, mechanism) cell and check every invariant. Unknown
-    mechanism labels raise [Invalid_argument]. With [?program] (a
+(** A plan's generated workload groups as a preparation subject: the
+    groups built for the Ref input, and for the Train input. *)
+val subject_of_groups :
+  name:string -> Mda_workloads.Gen.group list -> Mda_mech.Mech_spec.subject
+
+(** Run one (plan, mechanism) cell and check every invariant. [mech] is
+    a stress-family label ({!Mda_mech.Mech_spec.stress_labels}); unknown
+    labels raise [Invalid_argument]. With [?program] (a
     [.asm] file path) the cell runs that hand-written program instead
     of the plan's generated workload — the plan still supplies the
     fault knobs — so textual workloads face the same battery. *)

@@ -1,8 +1,6 @@
 module Bt = Mda_bt
-module Machine = Mda_machine
 module Obs = Mda_obs
 module Srv = Mda_server
-module H = Mda_harness
 
 let mechanism_names =
   List.filter (fun m -> m <> "aot") Chaos.mechanism_names
@@ -18,29 +16,6 @@ type outcome = {
   evictions : int;
   traps : int;
 }
-
-(* --- state snapshots (as the single-run chaos battery takes them) ------ *)
-
-type state = { regs : int64 array; mem : string (* Digest *) }
-
-let snapshot (cpu : Machine.Cpu.t) mem =
-  { regs = Array.init 8 (fun i -> if i = 4 then 0L else Machine.Cpu.get cpu i);
-    mem = Digest.bytes (Machine.Memory.raw mem) }
-
-let state_eq a b = a.regs = b.regs && String.equal a.mem b.mem
-
-let oracle tspec =
-  let entry, mem = Srv.Tenants.fresh_mem tspec in
-  let config =
-    Bt.Runtime.default_config (Bt.Mechanism.Dynamic_profiling { threshold = 1_000_000 })
-  in
-  let t = Bt.Runtime.create ~config ~mem () in
-  let _ = Bt.Runtime.run t ~entry in
-  snapshot t.Bt.Runtime.cpu mem
-
-let session_state (s : Srv.Session.t) =
-  let cpu = s.Srv.Session.rt.Bt.Runtime.cpu in
-  snapshot cpu cpu.Machine.Cpu.mem
 
 (* Mechanisms whose storm-tenant trap storms are analytically certain:
    an Input_dep site trains aligned and runs misaligned (trap per
@@ -98,7 +73,7 @@ let check (plan : Mt_plan.t) ~mech =
     match Hashtbl.find_opt oracles tid with
     | Some st -> st
     | None ->
-      let st = oracle (List.nth tspecs tid) in
+      let st = Oracle.interpret (Srv.Tenants.fresh_mem (List.nth tspecs tid)) in
       Hashtbl.add oracles tid st;
       st
   in
@@ -124,8 +99,8 @@ let check (plan : Mt_plan.t) ~mech =
       | None -> () (* already reported as never-ran *)
       | Some sess ->
         if sess.Srv.Session.status = Srv.Session.Halted then
-          if not (state_eq (oracle_of sess.Srv.Session.tid) (session_state sess))
-          then
+          let cpu = sess.Srv.Session.rt.Bt.Runtime.cpu in
+          if not (Oracle.state_eq (oracle_of sess.Srv.Session.tid) (Oracle.state cpu)) then
             problem "session %d (tenant %d) diverged from the oracle" sid
               sess.Srv.Session.tid)
     o.Srv.Scheduler.finals;
@@ -159,15 +134,10 @@ let check (plan : Mt_plan.t) ~mech =
       (fun (ntr : Srv.Scheduler.tenant_report) ->
         let tid = ntr.Srv.Scheduler.t_tid in
         if tid <> storm_tid && ntr.Srv.Scheduler.submissions > 0 then begin
-          let alone =
-            List.filter
-              (fun (s : Srv.Scheduler.spec) -> s.Srv.Scheduler.tid = tid)
-              specs
-          in
-          let iso = Srv.Scheduler.run ~tenants:plan.Mt_plan.tenants cfg alone in
-          let iso_tr = List.nth iso.Srv.Scheduler.report.Srv.Scheduler.tenants tid in
           let shared_cy = ntr.Srv.Scheduler.t_cycles in
-          let iso_cy = iso_tr.Srv.Scheduler.t_cycles in
+          let iso_cy =
+            Srv.Scheduler.isolated_cycles ~tenants:plan.Mt_plan.tenants cfg specs tid
+          in
           let slowdown = Int64.sub shared_cy iso_cy in
           if Int64.compare (Int64.mul 10L slowdown) iso_cy > 0 then
             problem
@@ -177,18 +147,9 @@ let check (plan : Mt_plan.t) ~mech =
       r.Srv.Scheduler.tenants
   | _ -> ());
   (* the session-tagged trace replays to the aggregate statistics *)
-  (match
-     Obs.Trace.of_jsonl
-       (Obs.Trace.to_jsonl ~mechanism:mech ~bench:"chaos-serve" ~scale:1.0
-          ~stats:o.Srv.Scheduler.agg_stats sink)
-   with
-  | Error e -> problem "serve trace does not parse: %s" e
-  | Ok f ->
-    (match Obs.Trace.replay f with
-    | Ok stats ->
-      if stats <> o.Srv.Scheduler.agg_stats then
-        problem "serve trace replay disagrees with the aggregate stats"
-    | Error e -> problem "serve trace replay failed: %s" e));
+  Option.iter (problem "serve %s")
+    (Oracle.replay_problem ~mechanism:mech ~bench:"chaos-serve"
+       ~stats:o.Srv.Scheduler.agg_stats sink);
   let problems = List.rev !problems in
   {
     plan;
@@ -203,22 +164,7 @@ let check (plan : Mt_plan.t) ~mech =
   }
 
 let run ?(jobs = 1) ?(mechs = mechanism_names) ~seed ~plans () =
-  let rng = Mda_util.Rng.create (Int64.of_int seed) in
-  let ps = List.init plans (fun id -> Mt_plan.random ~rng ~id) in
-  let cells = List.concat_map (fun p -> List.map (fun m -> (p, m)) mechs) ps in
-  let results = H.Pool.map ~jobs ~f:(fun (p, m) -> check p ~mech:m) cells in
-  List.mapi
-    (fun i (p, m) ->
-      match results.(i) with
-      | Ok o -> o
-      | Error e ->
-        { plan = p;
-          mech = m;
-          ok = false;
-          problems = [ "worker: " ^ e ];
-          sessions = 0;
-          demotions = 0;
-          restarts = 0;
-          evictions = 0;
-          traps = 0 })
-    cells
+  Oracle.sweep ~jobs ~mechs ~seed ~plans ~draw:Mt_plan.random ~check
+    ~worker_failed:(fun plan mech problem ->
+      { plan; mech; ok = false; problems = [ problem ]; sessions = 0; demotions = 0;
+        restarts = 0; evictions = 0; traps = 0 })

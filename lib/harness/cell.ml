@@ -10,22 +10,22 @@
 module W = Mda_workloads
 module Bt = Mda_bt
 module Machine = Mda_machine
+module Spec = Mda_mech.Mech_spec
 
-(* Mechanism by specification. [Static_profiling] means "profile the
-   train input first", [Static_analysis] means "run the congruence
-   dataflow pass on the program image" — both are recomputed by the
-   worker, which is what makes the cell self-contained. *)
-type mech_spec =
+(* Mechanism by specification: the registry's type, re-exported so
+   experiments name specs as [Cell.Direct], [Cell.Static_profiling], ... *)
+type mech_spec = Spec.t =
   | Direct
   | Static_profiling
   | Dynamic_profiling of { threshold : int }
   | Exception_handling of { rearrange : bool }
   | Dpeh of { threshold : int; retranslate : int option; multiversion : bool }
   | Static_analysis of { unknown : Bt.Mechanism.sa_policy }
+  | Aot of { unknown : Bt.Mechanism.sa_policy }
 
-type kind =
-  | Mech of mech_spec (* full BT run under the mechanism *)
-  | Interp of { native : bool } (* ground-truth run, with profile dump *)
+(* a full BT run under a mechanism, or the ground-truth interpreter run
+   with its profile dump *)
+type kind = Spec.kind
 
 type t = {
   bench : string;
@@ -46,32 +46,19 @@ let make ?(input = W.Gen.Ref) ?(variant = W.Workload.Default) ?trap_cost ?(chain
   { bench; scale; input; variant; kind; trap_cost; chaining; capacity; rules }
 
 let mech ?input ?variant ?trap_cost ?chaining ?capacity ?rules ~scale spec bench =
-  make ?input ?variant ?trap_cost ?chaining ?capacity ?rules ~scale (Mech spec) bench
+  make ?input ?variant ?trap_cost ?chaining ?capacity ?rules ~scale (Spec.Mech spec) bench
 
 let interp ?input ?variant ?trap_cost ?chaining ~scale bench =
-  make ?input ?variant ?trap_cost ?chaining ~scale (Interp { native = false }) bench
+  make ?input ?variant ?trap_cost ?chaining ~scale (Spec.Interp { native = false }) bench
 
 let native ?input ?variant ?trap_cost ?chaining ~scale bench =
-  make ?input ?variant ?trap_cost ?chaining ~scale (Interp { native = true }) bench
+  make ?input ?variant ?trap_cost ?chaining ~scale (Spec.Interp { native = true }) bench
 
 (* --- canonical description (cache-key material) ------------------------ *)
 
-let mech_spec_describe = function
-  | Direct -> "direct"
-  | Static_profiling -> "static-profiling(train)"
-  | Dynamic_profiling { threshold } -> Printf.sprintf "dynamic(th=%d)" threshold
-  | Exception_handling { rearrange } -> Printf.sprintf "eh(rearrange=%b)" rearrange
-  | Dpeh { threshold; retranslate; multiversion } ->
-    Printf.sprintf "dpeh(th=%d,retrans=%s,mv=%b)" threshold
-      (match retranslate with None -> "none" | Some n -> string_of_int n)
-      multiversion
-  | Static_analysis { unknown } ->
-    Printf.sprintf "sa(unknown=%s)"
-      (match unknown with Bt.Mechanism.Sa_seq -> "seq" | Bt.Mechanism.Sa_fallback -> "eh")
-
 let kind_describe = function
-  | Mech m -> "mech:" ^ mech_spec_describe m
-  | Interp { native } -> if native then "native" else "interp"
+  | Spec.Mech m -> "mech:" ^ Spec.describe m
+  | Spec.Interp { native } -> if native then "native" else "interp"
 
 (* Injective over everything that can change a cell's result; %h prints
    floats losslessly. v2 added the bounded-cache capacity; v3 adds the
@@ -112,27 +99,18 @@ let nmi sites = Array.fold_left (fun n s -> if s.mdas > 0 then n + 1 else n) 0 s
 
 (* --- computing a cell --------------------------------------------------- *)
 
-let mechanism_of_spec ~scale ~input bench = function
-  | Direct -> Bt.Mechanism.Direct
-  | Dynamic_profiling { threshold } -> Bt.Mechanism.Dynamic_profiling { threshold }
-  | Exception_handling { rearrange } -> Bt.Mechanism.Exception_handling { rearrange }
-  | Dpeh { threshold; retranslate; multiversion } ->
-    Bt.Mechanism.Dpeh { threshold; retranslate; multiversion }
-  | Static_profiling ->
-    (* the FX!32 protocol: profile the train input, ship the summary *)
-    let w = W.Workload.instantiate ~scale ~input:W.Gen.Train bench in
-    let mem = W.Workload.fresh_memory w in
-    let _, profile =
-      Bt.Runtime.interpret_program ~mode:(Bt.Interp.Interpreted { profile = true }) ~mem
-        ~entry:(W.Workload.entry w) ()
-    in
-    Bt.Mechanism.Static_profiling (Bt.Profile.summarize profile)
-  | Static_analysis { unknown } ->
-    (* the binary is input-independent, so any input works here *)
+(* A benchmark as a preparation subject: the program image under [input]
+   (the binary is input-independent, so any input serves the analysis)
+   and under the train input. *)
+let subject ~scale ~input bench =
+  let load input () =
     let w = W.Workload.instantiate ~scale ~input bench in
-    let mem = W.Workload.fresh_memory w in
-    let a = Mda_analysis.Dataflow.analyze mem ~entry:(W.Workload.entry w) in
-    Bt.Mechanism.Static_analysis { summary = Mda_analysis.Dataflow.summary a; unknown }
+    (W.Workload.entry w, W.Workload.fresh_memory w)
+  in
+  { Spec.name = bench; image = load input; train = load W.Gen.Train }
+
+let mechanism_of_spec ~scale ~input bench spec =
+  (Spec.prepare (subject ~scale ~input bench) spec).Spec.mechanism
 
 let cost_of t =
   match t.trap_cost with
@@ -149,25 +127,28 @@ let compute ?sink t =
   let mem = W.Workload.fresh_memory w in
   let entry = W.Workload.entry w in
   match t.kind with
-  | Interp { native } ->
+  | Spec.Interp { native } ->
     let mode = if native then Bt.Interp.Native else Bt.Interp.Interpreted { profile = true } in
     let stats, profile =
       Bt.Runtime.interpret_program ~mode ~cost:(cost_of t) ~mem ~entry ()
     in
     { stats; sites = dump_profile profile }
-  | Mech spec ->
-    let mechanism = mechanism_of_spec ~scale:t.scale ~input:t.input t.bench spec in
-    let on_event = Option.map Mda_obs.Trace.hook sink in
+  | Spec.Mech spec ->
     let rules = Option.map Mda_host.Peephole.activate t.rules in
+    let p =
+      Spec.prepare ?rules (subject ~scale:t.scale ~input:t.input t.bench) spec
+    in
+    let on_event = Option.map Mda_obs.Trace.hook sink in
     let config =
-      { (Bt.Runtime.default_config mechanism) with
+      { (Bt.Runtime.default_config p.Spec.mechanism) with
         cost = cost_of t;
         chaining = t.chaining;
         faults = { Bt.Runtime.no_faults with cache_capacity = t.capacity };
         on_event;
         rules }
     in
-    let rt = Bt.Runtime.create ~config ~mem () in
+    let cache = Option.map fst p.Spec.aot in
+    let rt = Bt.Runtime.create ~config ?cache ~mem () in
     Option.iter (fun s -> Mda_obs.Trace.attach s rt) sink;
     let stats = Bt.Runtime.run rt ~entry in
     { stats; sites = [||] }

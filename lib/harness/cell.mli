@@ -6,20 +6,20 @@
     preparation, which {!compute} performs, so cells stay small,
     deterministic and content-addressable. *)
 
-(** Mechanism by specification (cf. {!Mda_bt.Mechanism.t}, which carries
-    the prepared profile/analysis products instead). *)
-type mech_spec =
+(** Mechanism by specification: {!Mda_mech.Mech_spec.t}, re-exported so
+    experiment code names specs as [Cell.Direct], [Cell.Static_profiling], … *)
+type mech_spec = Mda_mech.Mech_spec.t =
   | Direct
-  | Static_profiling  (** profile the train input first, ship the summary *)
+  | Static_profiling
   | Dynamic_profiling of { threshold : int }
   | Exception_handling of { rearrange : bool }
   | Dpeh of { threshold : int; retranslate : int option; multiversion : bool }
   | Static_analysis of { unknown : Mda_bt.Mechanism.sa_policy }
+  | Aot of { unknown : Mda_bt.Mechanism.sa_policy }
 
-type kind =
-  | Mech of mech_spec  (** full BT run under the mechanism *)
-  | Interp of { native : bool }
-      (** ground-truth interpreter (or native-x86) run, with profile dump *)
+(** A full BT run under a mechanism ([Mech]), or the ground-truth
+    interpreter or native-x86 run with its profile dump ([Interp]). *)
+type kind = Mda_mech.Mech_spec.kind
 
 type t = {
   bench : string;
@@ -85,8 +85,6 @@ val native :
 (** Canonical, injective, stable description — the cache-key material. *)
 val describe : t -> string
 
-val mech_spec_describe : mech_spec -> string
-
 (** One profiled static site of an [Interp] cell's dump (sorted by
     address; plain data, so results marshal and serialize stably). *)
 type site = { addr : int; refs : int; mdas : int }
@@ -96,8 +94,15 @@ type result = { stats : Mda_bt.Run_stats.t; sites : site array }
 (** Static instructions with at least one MDA (Table I's NMI column). *)
 val nmi : site array -> int
 
-(** Instantiate the prepared {!Mda_bt.Mechanism.t} a spec describes
-    (runs the train-input profile / static analysis as needed). *)
+(** A benchmark as a {!Mda_mech.Mech_spec.subject}: its image under
+    [input] (what static analysis and AOT see) and under the train
+    input (what static profiling trains on). *)
+val subject :
+  scale:float -> input:Mda_workloads.Gen.input -> string -> Mda_mech.Mech_spec.subject
+
+(** The prepared {!Mda_bt.Mechanism.t} a spec describes (runs the
+    train-input profile / static analysis as needed; an [Aot] spec's
+    cache is dropped — {!compute} runs it). *)
 val mechanism_of_spec :
   scale:float -> input:Mda_workloads.Gen.input -> string -> mech_spec -> Mda_bt.Mechanism.t
 

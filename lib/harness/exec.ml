@@ -56,7 +56,8 @@ let jobs t = t.jobs
    results cannot move under a bound. *)
 let apply_capacity t (cell : Cell.t) =
   match (t.capacity, cell.kind) with
-  | Some _, Cell.Mech _ when cell.capacity = None -> { cell with capacity = t.capacity }
+  | Some _, Mda_mech.Mech_spec.Mech _ when cell.capacity = None ->
+    { cell with capacity = t.capacity }
   | _ -> cell
 
 let counters t = t.counters

@@ -9,7 +9,7 @@
 
 module W = Mda_workloads
 module Bt = Mda_bt
-module Machine = Mda_machine
+module Spec = Mda_mech.Mech_spec
 
 type options = {
   scale : float; (* workload volume multiplier *)
@@ -24,72 +24,33 @@ let default_options = { scale = 1.0; benchmarks = W.Spec.selected_names; exec = 
    still deduping repeated cells within the experiment. *)
 let exec_of opts = match opts.exec with Some e -> e | None -> Exec.create ()
 
-(* Run one benchmark under one mechanism; fresh machine state per run, as
-   the paper measures whole executions. The runtime is returned alongside
-   the statistics so callers can inspect the code cache afterwards (the
-   invariant checker does). *)
-let run_mechanism_rt ?(scale = 1.0) ?(input = W.Gen.Ref) ?sink ?rules ~mechanism name =
+(* Prepare [spec] for one benchmark and run it on a fresh machine, as
+   the paper measures whole executions. The runtime and the preparation
+   are returned alongside the statistics so callers can inspect the code
+   cache (the invariant checker does), the analysis and the AOT
+   translation afterwards. *)
+let run_spec_rt ?(scale = 1.0) ?(input = W.Gen.Ref) ?sink ?mode ?rules spec name =
+  let p = Spec.prepare ?mode ?rules (Cell.subject ~scale ~input name) spec in
   let w = W.Workload.instantiate ~scale ~input name in
   let mem = W.Workload.fresh_memory w in
   let on_event = Option.map Mda_obs.Trace.hook sink in
-  let config = { (Bt.Runtime.default_config mechanism) with on_event; rules } in
-  let t = Bt.Runtime.create ~config ~mem () in
+  let config = { (Bt.Runtime.default_config p.Spec.mechanism) with on_event; rules } in
+  let t = Bt.Runtime.create ~config ?cache:(Option.map fst p.Spec.aot) ~mem () in
   Option.iter (fun s -> Mda_obs.Trace.attach s t) sink;
   let stats = Bt.Runtime.run t ~entry:(W.Workload.entry w) in
-  (stats, t)
-
-let run_mechanism ?scale ?input ~mechanism name =
-  fst (run_mechanism_rt ?scale ?input ~mechanism name)
+  (stats, t, p)
 
 (* Static alignment analysis of a benchmark's program image — no
    execution, no profile: what the translator gets to see. [mode]
    selects the interprocedural (default) or the baseline
    intraprocedural engine. *)
 let sa_analyze ?(scale = 1.0) ?(input = W.Gen.Ref) ?mode name =
-  let w = W.Workload.instantiate ~scale ~input name in
-  let mem = W.Workload.fresh_memory w in
-  Mda_analysis.Dataflow.analyze ?mode mem ~entry:(W.Workload.entry w)
+  Spec.analyze ?mode (Cell.subject ~scale ~input name)
 
 (* The SA-guided mechanism at the given unknown-operand policy. *)
-let sa_mechanism ?scale ?input ?(unknown = Bt.Mechanism.Sa_fallback) name =
-  let a = sa_analyze ?scale ?input name in
-  Bt.Mechanism.Static_analysis { summary = Mda_analysis.Dataflow.summary a; unknown }
-
-(* AOT: analyze the image, translate all of it ahead of time, then
-   execute the immutable pre-populated cache with translation disabled.
-   Returns the run statistics, the runtime (for cache inspection), the
-   static translation statistics, and the analysis itself. The default
-   unknown-operand policy is [Sa_seq] — defensively sequenced unknowns
-   make the AOT image trap-free by construction; [Sa_fallback] trades
-   that for leaner code paid for by an OS fixup on *every* unknown-site
-   MDA, since the immutable cache cannot be patched. *)
-let run_aot_rt ?(scale = 1.0) ?(input = W.Gen.Ref) ?(unknown = Bt.Mechanism.Sa_seq)
-    ?sink ?mode ?rules name =
-  let w = W.Workload.instantiate ~scale ~input name in
-  let mem = W.Workload.fresh_memory w in
-  let entry = W.Workload.entry w in
-  let analysis = Mda_analysis.Dataflow.analyze ?mode mem ~entry in
-  let summary = Mda_analysis.Dataflow.summary analysis in
-  match Bt.Aot.translate_image ?rules ~summary ~unknown mem ~entry with
-  | Error msg ->
-    (* an unlowerable instruction (or undecodable code) is a property
-       of the input image, not an internal error — surface it the way
-       the dynamic runtime surfaces a mid-run lowering failure *)
-    raise
-      (Bt.Runtime.Runtime_error
-         (Printf.sprintf "AOT translation of %s failed: %s" name msg))
-  | Ok (cache, tstats) ->
-    let mechanism = Bt.Mechanism.Aot { summary; unknown } in
-    let on_event = Option.map Mda_obs.Trace.hook sink in
-    let config = { (Bt.Runtime.default_config mechanism) with on_event; rules } in
-    let t = Bt.Runtime.create ~config ~cache ~mem () in
-    Option.iter (fun s -> Mda_obs.Trace.attach s t) sink;
-    let stats = Bt.Runtime.run t ~entry in
-    (stats, t, tstats, analysis)
-
-let run_aot ?scale ?input ?unknown name =
-  let stats, _, _, _ = run_aot_rt ?scale ?input ?unknown name in
-  stats
+let sa_mechanism ?(scale = 1.0) ?(input = W.Gen.Ref) ?(unknown = Bt.Mechanism.Sa_fallback)
+    name =
+  Cell.mechanism_of_spec ~scale ~input name (Cell.Static_analysis { unknown })
 
 (* Pure-interpreter ground-truth run (Table I, Figure 15, train profiles). *)
 let run_interp ?(scale = 1.0) ?(input = W.Gen.Ref) ?(native = false) name =
@@ -98,28 +59,23 @@ let run_interp ?(scale = 1.0) ?(input = W.Gen.Ref) ?(native = false) name =
   let mode = if native then Bt.Interp.Native else Bt.Interp.Interpreted { profile = true } in
   Bt.Runtime.interpret_program ~mode ~mem ~entry:(W.Workload.entry w) ()
 
-(* Train-input profiling run: what FX!32-style static profiling ships. *)
-let train_summary ?(scale = 1.0) name =
-  let _, profile = run_interp ~scale ~input:W.Gen.Train name in
-  Bt.Profile.summarize profile
+(* Best configurations for the overall comparison (paper Section VI-C),
+   as cell specs for the runners and as mechanisms. *)
+let best_dynamic_spec = Spec.best_dynamic
 
-(* Best configurations for the overall comparison (paper Section VI-C). *)
-let best_dynamic = Bt.Mechanism.Dynamic_profiling { threshold = 50 }
+let best_eh_spec = Spec.best_eh
 
-let best_eh = Bt.Mechanism.Exception_handling { rearrange = false }
-
-let best_dpeh = Bt.Mechanism.Dpeh { threshold = 50; retranslate = Some 4; multiversion = true }
-
-let dpeh_plain = Bt.Mechanism.Dpeh { threshold = 50; retranslate = None; multiversion = false }
-
-(* The same best configurations as cell specs, for the runners. *)
-let best_dynamic_spec = Cell.Dynamic_profiling { threshold = 50 }
-
-let best_eh_spec = Cell.Exception_handling { rearrange = false }
-
-let best_dpeh_spec = Cell.Dpeh { threshold = 50; retranslate = Some 4; multiversion = true }
+let best_dpeh_spec = Spec.best_dpeh
 
 let dpeh_plain_spec = Cell.Dpeh { threshold = 50; retranslate = None; multiversion = false }
+
+let best_dynamic = Spec.plain best_dynamic_spec
+
+let best_eh = Spec.plain best_eh_spec
+
+let best_dpeh = Spec.plain best_dpeh_spec
+
+let dpeh_plain = Spec.plain dpeh_plain_spec
 
 let cycles (s : Bt.Run_stats.t) = Int64.to_float s.cycles
 

@@ -17,28 +17,24 @@ val default_options : options
 (** The caller's context, or a fresh sequential one. *)
 val exec_of : options -> Exec.t
 
-(** Run one benchmark under one mechanism on a fresh machine. *)
-val run_mechanism :
-  ?scale:float ->
-  ?input:Mda_workloads.Gen.input ->
-  mechanism:Mda_bt.Mechanism.t ->
-  string ->
-  Mda_bt.Run_stats.t
-
-(** Like {!run_mechanism}, also returning the runtime so the code cache
-    can be inspected afterwards (the {!Mda_analysis.Check} invariant
-    checker, [mdabench run --selfcheck]). [sink] attaches a trace sink
-    to the run's event hook ([mdabench trace]/[hot]); [rules] enables
-    the validator-proved peephole rewrite tier on every translation
-    ([mdabench run --rules]). *)
-val run_mechanism_rt :
+(** Prepare a spec for one benchmark ({!Mda_mech.Mech_spec.prepare}:
+    train profile, analysis with the [mode] engine, or the whole-image
+    AOT translation) and run it on a fresh machine. Returns the
+    statistics, the runtime (so the code cache can be inspected
+    afterwards: [mdabench run --selfcheck]) and the preparation. [sink]
+    attaches a trace sink to the run's event hook ([mdabench trace]/
+    [hot]); [rules] enables the validator-proved peephole rewrite tier
+    on every translation ([mdabench run --rules]). Raises
+    {!Mda_bt.Runtime.Runtime_error} on an image AOT cannot translate. *)
+val run_spec_rt :
   ?scale:float ->
   ?input:Mda_workloads.Gen.input ->
   ?sink:Mda_obs.Trace.t ->
+  ?mode:Mda_analysis.Dataflow.mode ->
   ?rules:Mda_host.Peephole.active ->
-  mechanism:Mda_bt.Mechanism.t ->
+  Cell.mech_spec ->
   string ->
-  Mda_bt.Run_stats.t * Mda_bt.Runtime.t
+  Mda_bt.Run_stats.t * Mda_bt.Runtime.t * Mda_mech.Mech_spec.prepared
 
 (** Static alignment analysis of a benchmark's program image — no
     execution, no profile. [mode] selects the analysis engine
@@ -59,32 +55,6 @@ val sa_mechanism :
   string ->
   Mda_bt.Mechanism.t
 
-(** AOT run of a benchmark: analyze, statically translate the whole
-    image ({!Mda_bt.Aot.translate_image}), then execute the immutable
-    cache under {!Mda_bt.Mechanism.Aot} with translation disabled.
-    Returns run stats, the runtime (cache inspection), static
-    translation stats, and the analysis. [unknown] defaults to
-    {!Mda_bt.Mechanism.Sa_seq} (trap-free by construction); [mode]
-    selects the analysis engine; [rules] applies the peephole tier to
-    the static translation. Fails on untranslatable images. *)
-val run_aot_rt :
-  ?scale:float ->
-  ?input:Mda_workloads.Gen.input ->
-  ?unknown:Mda_bt.Mechanism.sa_policy ->
-  ?sink:Mda_obs.Trace.t ->
-  ?mode:Mda_analysis.Dataflow.mode ->
-  ?rules:Mda_host.Peephole.active ->
-  string ->
-  Mda_bt.Run_stats.t * Mda_bt.Runtime.t * Mda_bt.Aot.stats * Mda_analysis.Dataflow.t
-
-(** Just the run statistics of {!run_aot_rt}. *)
-val run_aot :
-  ?scale:float ->
-  ?input:Mda_workloads.Gen.input ->
-  ?unknown:Mda_bt.Mechanism.sa_policy ->
-  string ->
-  Mda_bt.Run_stats.t
-
 (** Pure-interpreter ([native:false]) or native-x86 ground-truth run. *)
 val run_interp :
   ?scale:float ->
@@ -92,9 +62,6 @@ val run_interp :
   ?native:bool ->
   string ->
   Mda_bt.Run_stats.t * Mda_bt.Profile.t
-
-(** Train-input profiling run: what FX!32-style static profiling ships. *)
-val train_summary : ?scale:float -> string -> Mda_bt.Profile.summary
 
 (** Best configurations for the overall comparison (Section VI-C). *)
 

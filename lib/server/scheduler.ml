@@ -557,3 +557,7 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
     agg_stats;
     shared;
   }
+
+let isolated_cycles ~tenants cfg specs tid =
+  let o = run ~tenants cfg (List.filter (fun s -> s.tid = tid) specs) in
+  (List.nth o.report.tenants tid).t_cycles

@@ -126,3 +126,8 @@ type outcome = {
     given, receives every BT event tagged with the emitting session and
     timestamped by that session's simulated clock. *)
 val run : ?sink:Mda_obs.Trace.t -> ?tenants:int -> config -> spec list -> outcome
+
+(** Tenant [tid]'s cycles with only its own sessions of [specs]
+    scheduled, same knobs: the isolated baseline a shared run is
+    compared against. *)
+val isolated_cycles : tenants:int -> config -> spec list -> int -> int64

@@ -1,8 +1,7 @@
 module Bt = Mda_bt
-module Machine = Mda_machine
 module W = Mda_workloads
-module A = Mda_analysis
 module Rng = Mda_util.Rng
+module Spec = Mda_mech.Mech_spec
 
 let spacing = 0x4000
 let base_of tid = Bt.Layout.guest_code_base + (tid * spacing)
@@ -116,36 +115,17 @@ let program spec =
   check_fits spec p;
   p
 
-let load (p : W.Gen.program) =
-  let mem = Machine.Memory.create ~size_bytes:Bt.Layout.mem_size in
-  Machine.Memory.load_image mem ~addr:p.W.Gen.asm_program.Mda_guest.Asm.base
-    p.W.Gen.asm_program.Mda_guest.Asm.image;
-  p.W.Gen.init mem;
-  (p.W.Gen.entry, mem)
+let fresh_mem spec = W.Gen.load (program spec)
 
-let fresh_mem spec = load (program spec)
+(* The tenant as a preparation subject: its Ref program image, and the
+   same groups built for the Train input. *)
+let subject spec =
+  { Spec.name = Printf.sprintf "tenant %d" spec.tid;
+    image = (fun () -> fresh_mem spec);
+    train = (fun () -> W.Gen.load (build spec ~input:W.Gen.Train)) }
 
-let train_summary spec =
-  let entry, mem = load (build spec ~input:W.Gen.Train) in
-  let _, profile =
-    Bt.Runtime.interpret_program
-      ~mode:(Bt.Interp.Interpreted { profile = true })
-      ~mem ~entry ()
-  in
-  Bt.Profile.summarize profile
-
-let sa_summary spec =
-  let entry, mem = fresh_mem spec in
-  A.Dataflow.summary (A.Dataflow.analyze mem ~entry)
-
-let mechanism_of spec = function
-  | "direct" -> Bt.Mechanism.Direct
-  | "static-profiling" -> Bt.Mechanism.Static_profiling (train_summary spec)
-  | "dynamic-profiling" -> Bt.Mechanism.Dynamic_profiling { threshold = 3 }
-  | "eh" -> Bt.Mechanism.Exception_handling { rearrange = true }
-  | "dpeh" ->
-    Bt.Mechanism.Dpeh { threshold = 2; retranslate = Some 2; multiversion = true }
-  | "sa" ->
-    Bt.Mechanism.Static_analysis
-      { summary = sa_summary spec; unknown = Bt.Mechanism.Sa_fallback }
-  | m -> invalid_arg ("Tenants.mechanism_of: unsupported mechanism " ^ m)
+let mechanism_of spec label =
+  match Spec.parse_stress label with
+  | Ok (Spec.Aot _) | Error _ ->
+    invalid_arg ("Tenants.mechanism_of: unsupported mechanism " ^ label)
+  | Ok s -> (Spec.prepare (subject spec) s).Spec.mechanism

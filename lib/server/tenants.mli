@@ -40,14 +40,13 @@ val program : spec -> Mda_workloads.Gen.program
 (** Entry point and freshly loaded+initialized guest memory. *)
 val fresh_mem : spec -> int * Mda_machine.Memory.t
 
-(** Static-profiling summary from an interpreted Train-input run. *)
-val train_summary : spec -> Mda_bt.Profile.summary
+(** The tenant as a {!Mda_mech.Mech_spec.subject}: its Ref image, and
+    its groups built for the Train input. *)
+val subject : spec -> Mda_mech.Mech_spec.subject
 
-(** Congruence-dataflow summary of the tenant's binary. *)
-val sa_summary : spec -> Mda_bt.Mechanism.sa_summary
-
-(** Mechanism by CLI name, with per-tenant preparation (training runs,
-    static analysis) exactly as the harness does it. The serving layer
-    excludes "aot" (immutable caches cannot be shared and bounded).
-    Raises [Invalid_argument] on unknown names. *)
+(** Mechanism by stress-family label
+    ({!Mda_mech.Mech_spec.stress_labels}), prepared per tenant (training
+    runs, static analysis) exactly as the harness prepares it. The
+    serving layer excludes "aot" (immutable caches cannot be shared and
+    bounded). Raises [Invalid_argument] on unknown names. *)
 val mechanism_of : spec -> string -> Mda_bt.Mechanism.t

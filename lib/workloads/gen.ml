@@ -328,3 +328,8 @@ let build ?(base = Mda_bt.Layout.guest_code_base) ~input groups =
   in
   { asm_program; init; entry = base; expected_refs; expected_mdas; groups = placed;
     lib_boundary }
+
+let load p =
+  let mem = Machine.Memory.create ~size_bytes:Mda_bt.Layout.mem_size in
+  p.init mem;
+  (p.entry, mem)

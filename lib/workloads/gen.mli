@@ -77,3 +77,7 @@ type program = {
 (** Assemble a program realizing [groups] under [input]. Raises
     [Invalid_argument] if the data segment overflows. *)
 val build : ?base:int -> input:input -> group list -> program
+
+(** Entry point and fresh guest memory initialized by the program
+    (image and data). *)
+val load : program -> int * Mda_machine.Memory.t

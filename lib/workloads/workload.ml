@@ -8,8 +8,6 @@
    volume with aligned traffic so the measured MDA ratio reproduces the
    paper's column. *)
 
-module Machine = Mda_machine
-
 let sites_per_block = 6
 
 type t = {
@@ -312,10 +310,7 @@ let instantiate ?(scale = 1.0) ?(input = Gen.Ref) ?(variant = Default) name =
   end
 
 (* Fresh, initialized memory for a run of this workload. *)
-let fresh_memory t =
-  let mem = Machine.Memory.create ~size_bytes:Mda_bt.Layout.mem_size in
-  t.program.Gen.init mem;
-  mem
+let fresh_memory t = snd (Gen.load t.program)
 
 let entry t = t.program.Gen.entry
 

@@ -18,6 +18,7 @@ module G = Mda_guest
 module GI = Mda_guest.Isa
 module Machine = Mda_machine
 module Bt = Mda_bt
+module Spec = Mda_mech.Mech_spec
 module A = Mda_analysis
 module C = Mda_analysis.Congruence
 
@@ -300,11 +301,12 @@ let sa_equiv_test (label, unknown) =
     ~count:100
     (QCheck.make Test_equiv.gen_prog ~print:Test_equiv.print_prog)
     (fun p ->
-      let program, mem = Test_equiv.build p in
-      let analysis = A.Dataflow.analyze mem ~entry:program.G.Asm.base in
-      let mech =
-        Bt.Mechanism.Static_analysis { summary = A.Dataflow.summary analysis; unknown }
+      let image () =
+        let program, mem = Test_equiv.build p in
+        (program.G.Asm.base, mem)
       in
+      let subject = { Spec.name = "random program"; image; train = image } in
+      let mech = (Spec.prepare subject (Spec.Static_analysis { unknown })).Spec.mechanism in
       Test_equiv.state_eq (Test_equiv.run_interp p) (Test_equiv.run_mech mech p))
 
 (* --- the interprocedural engine on the stack-frame microbenchmark ------- *)

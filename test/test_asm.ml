@@ -534,13 +534,6 @@ let test_host_program_labels () =
 
 (* --- the committed example workloads --------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* dune runtest runs in _build/default/test (where the glob deps put
    the examples one level up); dune exec runs from the workspace root.
    Accept either. *)
@@ -563,7 +556,7 @@ let test_stack_asm_image_identical () =
   let generated =
     (W.Workload.instantiate "stack.frames").W.Workload.program.W.Gen.asm_program
   in
-  match GP.program (read_file stack_path) with
+  match GP.program (Test_util.slurp stack_path) with
   | Error e -> Alcotest.failf "stack.asm: %a" GP.pp_error e
   | Ok p ->
     Alcotest.(check int) "base" generated.GA.base p.GA.base;
@@ -585,7 +578,7 @@ let test_tour_asm_loads () =
    disasm` does: decode the encoded image back to text. Regenerate with
    MDA_GOLDEN_WRITE=1 (same protocol as test_golden). *)
 let tour_disasm () =
-  match GP.program (read_file tour_path) with
+  match GP.program (Test_util.slurp tour_path) with
   | Error e -> Alcotest.failf "tour.asm: %a" GP.pp_error e
   | Ok p -> (
     match GD.decode_all p.GA.image with
@@ -613,7 +606,7 @@ let test_tour_disasm_golden () =
   end
   else begin
     let path = find_file "test/golden/disasm-tour.txt" in
-    let expected = read_file path in
+    let expected = Test_util.slurp path in
     if not (String.equal expected actual) then
       Alcotest.failf "disasm-tour golden mismatch\n--- expected\n%s\n--- actual\n%s"
         expected actual

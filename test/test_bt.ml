@@ -6,20 +6,11 @@ module G = Mda_guest
 module GI = Mda_guest.Isa
 module Machine = Mda_machine
 module Bt = Mda_bt
+module Spec = Mda_mech.Mech_spec
 
 let data = Bt.Layout.data_base
 
-(* Assemble a program, load it into fresh memory. Programs are expected
-   to set up ESP themselves (see [prologue]). *)
-let load_program build =
-  let asm = G.Asm.create () in
-  (* prologue: establish the stack pointer *)
-  G.Asm.movi asm GI.ESP Bt.Layout.stack_top;
-  build asm;
-  let program = G.Asm.assemble ~base:Bt.Layout.guest_code_base asm in
-  let mem = Machine.Memory.create ~size_bytes:Bt.Layout.mem_size in
-  Machine.Memory.load_image mem ~addr:program.G.Asm.base program.G.Asm.image;
-  (program, mem)
+let load_program = Test_runtime.load_program
 
 let run_mechanism mechanism build =
   let program, mem = load_program build in
@@ -33,22 +24,7 @@ let run_interp build =
   let stats, profile = Bt.Runtime.interpret_program ~mem ~entry:program.G.Asm.base () in
   (stats, mem, profile)
 
-(* A loop that increments a counter [iters] times:
-     for (i = iters; i > 0; i--) body
-   [body] receives the asm builder; ECX is the induction variable. *)
-let counted_loop asm ~iters body =
-  let open G.Asm in
-  movi asm GI.ECX iters;
-  (* end the preamble block here so the loop body is a block of its own
-     (otherwise the body's code is duplicated into the entry block and
-     per-site accounting doubles) *)
-  let top = fresh_label asm in
-  jmp asm top;
-  bind asm top;
-  body asm;
-  addi asm GI.ECX (-1);
-  cmpi asm GI.ECX 0;
-  jcc asm GI.Gt top
+let counted_loop = Test_runtime.counted_loop
 
 (* Loop body: load a 4-byte value at [addr], add 1, store it back. *)
 let incr_cell asm ~addr =
@@ -172,11 +148,10 @@ let test_static_profiling_traps_forever_without_profile () =
 
 let test_static_profiling_with_train_profile () =
   (* train run = same program; its profile should silence all traps *)
-  let _, _, profile = run_interp (misaligned_build 50) in
-  let summary = Bt.Profile.summarize profile in
-  let stats, _, _ =
-    run_mechanism (Bt.Mechanism.Static_profiling summary) (misaligned_build 200)
-  in
+  let subject = Test_runtime.subject (misaligned_build 200) in
+  let train = (Test_runtime.subject (misaligned_build 50)).Spec.image in
+  let p = Spec.prepare { subject with Spec.train } Spec.Static_profiling in
+  let stats, _, _ = run_mechanism p.Spec.mechanism (misaligned_build 200) in
   Alcotest.(check int64) "no traps with train profile" 0L stats.Bt.Run_stats.traps
 
 let test_eh_cheaper_than_static_without_profile () =

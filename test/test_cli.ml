@@ -18,6 +18,8 @@ let exe =
 
 let bench = List.hd Mda_workloads.Spec.selected_names
 
+let slurp = Test_util.slurp
+
 let run_rc args =
   Sys.command (Printf.sprintf "%s %s > /dev/null 2>&1" exe args)
 
@@ -68,9 +70,7 @@ let test_trace_emit_and_replay () =
   Alcotest.(check bool) "trace file written" true (Sys.file_exists file);
   check_rc (Printf.sprintf "trace --replay %s" file) 0;
   (* a tampered file must fail the gate with exit 2 *)
-  let ic = open_in file in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let text = slurp file in
   let oc = open_out file in
   output_string oc (text ^ "{\"t\":\"garbage\"}\n");
   close_out oc;
@@ -107,13 +107,8 @@ let test_trace_out_does_not_change_stdout () =
   in
   Alcotest.(check int) "plain run exits 0" 0 rc_a;
   Alcotest.(check int) "traced run exits 0" 0 rc_b;
-  let read f =
-    let ic = open_in f in
-    let t = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    t
-  in
-  Alcotest.(check string) "stdout byte-identical with --trace-out" (read out_a) (read out_b);
+  Alcotest.(check string) "stdout byte-identical with --trace-out" (slurp out_a)
+    (slurp out_b);
   Alcotest.(check bool) "trace artifact written" true (Sys.file_exists trace)
 
 (* --- chaos failure UX and the serve front-end -------------------------- *)
@@ -126,12 +121,6 @@ let contains ~needle hay =
   let nh = String.length needle and h = String.length hay in
   let rec go i = i + nh <= h && (String.sub hay i nh = needle || go (i + 1)) in
   go 0
-
-let slurp f =
-  let ic = open_in f in
-  let t = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  t
 
 (* a failing chaos run must end with a one-line command reproducing
    exactly the failing cells, and exit non-zero; --inject-failure makes
@@ -167,7 +156,24 @@ let test_chaos_failure_reproducer () =
   in
   Alcotest.(check int) "clean serve chaos exits 0" 0 rc;
   Alcotest.(check bool) "no reproducer on success" false
-    (contains ~needle:"reproduce with:" (slurp out))
+    (contains ~needle:"reproduce with:" (slurp out));
+  (* a hand-written program is part of what failed: the reproducer
+     reruns it, not generated workloads *)
+  let rc =
+    Sys.command
+      (Printf.sprintf
+         "%s chaos --plans 1 --program %s -m direct --inject-failure > %s 2>/dev/null" exe
+         Test_asm.tour_path out)
+  in
+  Alcotest.(check int) "injected --program failure exits 1" 1 rc;
+  Alcotest.(check bool) "reproducer carries --program" true
+    (contains
+       ~needle:
+         (Printf.sprintf "reproduce with: mdabench chaos --seed 42 --plans 1 --program %s -m direct"
+            Test_asm.tour_path)
+       (slurp out));
+  (* serve mode runs generated tenants only: --program is refused, not ignored *)
+  check_rc "chaos --serve --program missing.asm" 2
 
 let test_serve_command () =
   (* the aggregate serve report is byte-identical across --jobs levels,
@@ -189,13 +195,19 @@ let test_serve_command () =
   Alcotest.(check bool) "per-tenant table present" true
     (contains ~needle:"storm" (slurp out_a));
   check_rc "serve -m aot" 2;
-  check_rc "serve --tenants 0" 2
+  check_rc "serve --tenants 0" 2;
+  (* a malformed tenant list is a usage error, never an uncaught exception *)
+  let err = tmp_file "serve_noisy_err.txt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ()) @@ fun () ->
+  let rc = Sys.command (Printf.sprintf "%s serve --noisy x > /dev/null 2> %s" exe err) in
+  Alcotest.(check bool) "serve --noisy x exits non-zero" true (rc <> 0);
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains ~needle:"Fatal error" (slurp err))
 
 (* --- the peephole tier on the command line ----------------------------- *)
 
 let rules_file = Test_util.committed_rules
 
-let read_all = slurp
 
 (* [mdabench verify] always prints the bail-out summary line, whether or
    not any proof bailed out — proof coverage must be visible, not only
@@ -213,7 +225,7 @@ let test_verify_bailout_summary () =
   in
   Alcotest.(check int) "verify exits 0" 0 rc;
   Alcotest.(check bool) "bail-out summary line printed" true
-    (contains ~needle:"validator budget bail-outs:" (read_all out))
+    (contains ~needle:"validator budget bail-outs:" (slurp out))
 
 let test_mine_replay_and_explain () =
   (* the committed rule file re-proves, and --explain pretty-prints *)
@@ -261,7 +273,7 @@ let test_run_with_rules () =
   in
   Alcotest.(check int) "run --rules --validate exits 0" 0 rc;
   Alcotest.(check bool) "peephole summary printed" true
-    (contains ~needle:"peephole:" (read_all out));
+    (contains ~needle:"peephole:" (slurp out));
   check_rc "run 164.gzip -m direct --scale 0.05 --rules /nonexistent.rules" 1
 
 let suite =

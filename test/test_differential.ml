@@ -3,7 +3,7 @@
    Gen-level workload specifications — hot loops with data-controlled
    alignment behaviour (phase switches, striding pointers, input-dependent
    cells, call/ret bodies, shared-library placement) — and asserts that
-   every one of the six MDA-handling mechanisms leaves the guest in
+   every MDA-handling mechanism leaves the guest in
    exactly the state the reference interpreter computes: same registers,
    same memory image.
 
@@ -11,8 +11,8 @@
 
 module W = Mda_workloads
 module Bt = Mda_bt
-module Machine = Mda_machine
-module A = Mda_analysis
+module F = Mda_fault
+module Spec = Mda_mech.Mech_spec
 
 (* --- random workload-spec generator ------------------------------------ *)
 
@@ -83,87 +83,48 @@ let print_spec groups =
            g.W.Gen.bloat g.W.Gen.lib g.W.Gen.via_call)
        groups)
 
-(* --- running and snapshotting ------------------------------------------ *)
+(* --- running ---------------------------------------------------------- *)
 
-type state = { regs : int64 array; mem : string (* Digest *) }
+let subject groups = F.Chaos.subject_of_groups ~name:"differential" groups
 
-let snapshot cpu mem =
-  (* ESP excluded: engine-managed identically but uninteresting *)
-  { regs = Array.init 8 (fun i -> if i = 4 then 0L else Machine.Cpu.get cpu i);
-    mem = Digest.bytes (Machine.Memory.raw mem) }
+let run_reference groups = F.Oracle.interpret ((subject groups).Spec.image ())
 
-let state_eq a b = a.regs = b.regs && String.equal a.mem b.mem
+(* Prepare [spec] for the workload exactly as the chaos runner does
+   (static profiling trains on the Train input, static analysis and AOT
+   run the congruence dataflow on the binary) and run it. *)
+let run_rt ?rules spec groups =
+  let s = subject groups in
+  let rules = Option.map Mda_host.Peephole.activate rules in
+  let p = Spec.prepare ?rules s spec in
+  let entry, mem = s.Spec.image () in
+  let config = { (Bt.Runtime.default_config p.Spec.mechanism) with rules } in
+  let t = Bt.Runtime.create ~config ?cache:(Option.map fst p.Spec.aot) ~mem () in
+  (Bt.Runtime.run t ~entry, t)
 
-let fresh groups =
-  let p = W.Gen.build ~input:W.Gen.Ref groups in
-  let mem = Machine.Memory.create ~size_bytes:Bt.Layout.mem_size in
-  Machine.Memory.load_image mem ~addr:p.W.Gen.asm_program.Mda_guest.Asm.base
-    p.W.Gen.asm_program.Mda_guest.Asm.image;
-  p.W.Gen.init mem;
-  (p.W.Gen.entry, mem)
+(* The final guest state with the run's statistics. *)
+let run_spec ?rules spec groups =
+  let stats, t = run_rt ?rules spec groups in
+  (F.Oracle.state t.Bt.Runtime.cpu, stats)
 
-let run_reference groups =
-  let entry, mem = fresh groups in
-  let config =
-    (* a threshold beyond any loop count: pure interpretation *)
-    Bt.Runtime.default_config (Bt.Mechanism.Dynamic_profiling { threshold = 1_000_000 })
-  in
-  let t = Bt.Runtime.create ~config ~mem () in
-  let _ = Bt.Runtime.run t ~entry in
-  snapshot t.Bt.Runtime.cpu mem
+(* Every stress-family mechanism but aot, which is checked below
+   against its dynamic twin. *)
+let mechanisms = List.filter (fun (label, _) -> label <> "aot") Spec.stress_labels
 
-let train_summary groups =
-  let p = W.Gen.build ~input:W.Gen.Train groups in
-  let mem = Machine.Memory.create ~size_bytes:Bt.Layout.mem_size in
-  Machine.Memory.load_image mem ~addr:p.W.Gen.asm_program.Mda_guest.Asm.base
-    p.W.Gen.asm_program.Mda_guest.Asm.image;
-  p.W.Gen.init mem;
-  let _, profile =
-    Bt.Runtime.interpret_program ~mode:(Bt.Interp.Interpreted { profile = true }) ~mem
-      ~entry:p.W.Gen.entry ()
-  in
-  Bt.Profile.summarize profile
-
-let sa_summary groups =
-  let entry, mem = fresh groups in
-  A.Dataflow.summary (A.Dataflow.analyze mem ~entry)
-
-(* The six mechanisms, instantiated per workload exactly as the harness
-   does: static profiling trains on the Train input, static analysis
-   runs the congruence dataflow on the binary. *)
-let mechanisms =
-  [ ("direct", fun _ -> Bt.Mechanism.Direct);
-    ("static-profiling", fun groups -> Bt.Mechanism.Static_profiling (train_summary groups));
-    ("dynamic-profiling", fun _ -> Bt.Mechanism.Dynamic_profiling { threshold = 3 });
-    ("eh", fun _ -> Bt.Mechanism.Exception_handling { rearrange = true });
-    ("dpeh", fun _ ->
-       Bt.Mechanism.Dpeh { threshold = 2; retranslate = Some 2; multiversion = true });
-    ("sa-seq", fun groups ->
-       Bt.Mechanism.Static_analysis { summary = sa_summary groups; unknown = Bt.Mechanism.Sa_seq });
-    ("sa-eh", fun groups ->
-       Bt.Mechanism.Static_analysis
-         { summary = sa_summary groups; unknown = Bt.Mechanism.Sa_fallback }) ]
-
-let run_mechanism make groups =
-  let mechanism = make groups in
-  let entry, mem = fresh groups in
-  let t = Bt.Runtime.create ~config:(Bt.Runtime.default_config mechanism) ~mem () in
-  let _ = Bt.Runtime.run t ~entry in
-  snapshot t.Bt.Runtime.cpu mem
+let buildable groups =
+  match W.Gen.build ~input:W.Gen.Ref groups with
+  | (_ : W.Gen.program) -> true
+  | exception Invalid_argument _ -> false
 
 (* --- the property ------------------------------------------------------- *)
 
-let differential_test (label, make) =
+let differential_test (label, spec) =
   QCheck.Test.make
     ~name:(Printf.sprintf "workload state: interp == %s" label)
     ~count:60
     (QCheck.make gen_spec ~print:print_spec)
     (fun groups ->
-      QCheck.assume
-        (match W.Gen.build ~input:W.Gen.Ref groups with
-        | (_ : W.Gen.program) -> true
-        | exception Invalid_argument _ -> false);
-      state_eq (run_reference groups) (run_mechanism make groups))
+      QCheck.assume (buildable groups);
+      F.Oracle.state_eq (run_reference groups) (fst (run_spec spec groups)))
 
 (* Under real capacity pressure the two flush policies of Section IV-C
    take very different eviction paths (one victim at a time vs dropping
@@ -177,10 +138,10 @@ let run_bounded flush groups =
       flush_policy = flush;
       faults = { Bt.Runtime.no_faults with cache_capacity = Some 48 } }
   in
-  let entry, mem = fresh groups in
+  let entry, mem = (subject groups).Spec.image () in
   let t = Bt.Runtime.create ~config ~mem () in
   let _ = Bt.Runtime.run t ~entry in
-  snapshot t.Bt.Runtime.cpu mem
+  F.Oracle.state t.Bt.Runtime.cpu
 
 let flush_equiv_test =
   QCheck.Test.make
@@ -188,11 +149,8 @@ let flush_equiv_test =
     ~count:40
     (QCheck.make gen_spec ~print:print_spec)
     (fun groups ->
-      QCheck.assume
-        (match W.Gen.build ~input:W.Gen.Ref groups with
-        | (_ : W.Gen.program) -> true
-        | exception Invalid_argument _ -> false);
-      state_eq
+      QCheck.assume (buildable groups);
+      F.Oracle.state_eq
         (run_bounded Bt.Runtime.Block_granularity groups)
         (run_bounded Bt.Runtime.Full_flush groups))
 
@@ -202,39 +160,22 @@ let flush_equiv_test =
    both the pure interpreter's AND the dynamic Static_analysis run's on
    the same summary and unknown-site policy — and the immutable cache
    must show zero runtime translations and zero patches. *)
-let run_aot unknown groups =
-  let entry, mem = fresh groups in
-  let summary = sa_summary groups in
-  match Bt.Aot.translate_image ~summary ~unknown mem ~entry with
-  | Error msg -> failwith ("AOT translation failed: " ^ msg)
-  | Ok (cache, _) ->
-    let mechanism = Bt.Mechanism.Aot { summary; unknown } in
-    let t = Bt.Runtime.create ~config:(Bt.Runtime.default_config mechanism) ~cache ~mem () in
-    let stats = Bt.Runtime.run t ~entry in
-    if stats.Bt.Run_stats.translations <> 0 || stats.Bt.Run_stats.patches <> 0 then
-      failwith "AOT run translated or patched at runtime";
-    if stats.Bt.Run_stats.stop <> Bt.Run_stats.Halted then
-      failwith
-        ("AOT run did not halt: " ^ Bt.Run_stats.stop_reason_to_string stats.Bt.Run_stats.stop);
-    snapshot t.Bt.Runtime.cpu mem
-
 let aot_test (label, unknown) =
   QCheck.Test.make
     ~name:(Printf.sprintf "workload state: interp == aot(%s) == sa(%s)" label label)
     ~count:60
     (QCheck.make gen_spec ~print:print_spec)
     (fun groups ->
-      QCheck.assume
-        (match W.Gen.build ~input:W.Gen.Ref groups with
-        | (_ : W.Gen.program) -> true
-        | exception Invalid_argument _ -> false);
+      QCheck.assume (buildable groups);
       let reference = run_reference groups in
-      let dynamic =
-        run_mechanism
-          (fun g -> Bt.Mechanism.Static_analysis { summary = sa_summary g; unknown })
-          groups
-      in
-      state_eq reference (run_aot unknown groups) && state_eq reference dynamic)
+      let dynamic, _ = run_spec (Spec.Static_analysis { unknown }) groups in
+      let aot, stats = run_spec (Spec.Aot { unknown }) groups in
+      if stats.Bt.Run_stats.translations <> 0 || stats.Bt.Run_stats.patches <> 0 then
+        failwith "AOT run translated or patched at runtime";
+      if stats.Bt.Run_stats.stop <> Bt.Run_stats.Halted then
+        failwith
+          ("AOT run did not halt: " ^ Bt.Run_stats.stop_reason_to_string stats.Bt.Run_stats.stop);
+      F.Oracle.state_eq reference aot && F.Oracle.state_eq reference dynamic)
 
 let aot_policies = [ ("seq", Bt.Mechanism.Sa_seq); ("eh", Bt.Mechanism.Sa_fallback) ]
 
@@ -250,15 +191,6 @@ let committed_rules =
     | Ok rs -> rs
     | Error e -> failwith e)
 
-let run_mechanism_full ?rules make groups =
-  let mechanism = make groups in
-  let entry, mem = fresh groups in
-  let rules = Option.map Mda_host.Peephole.activate rules in
-  let config = { (Bt.Runtime.default_config mechanism) with rules } in
-  let t = Bt.Runtime.create ~config ~mem () in
-  let stats = Bt.Runtime.run t ~entry in
-  (snapshot t.Bt.Runtime.cpu mem, stats)
-
 (* With and without the rewrite tier: identical guest state, memory
    digest and trap/patch/degradation counters. Only host cycles,
    host-instruction counts and code-cache bytes may differ — the tier
@@ -267,7 +199,7 @@ let run_mechanism_full ?rules make groups =
    ratio, which the tier changes by design; the exactly-counted
    [interp_insns]/[memrefs]/[mdas] stand in for it. *)
 let guest_invisible (a, (sa : Bt.Run_stats.t)) (b, (sb : Bt.Run_stats.t)) =
-  state_eq a b
+  F.Oracle.state_eq a b
   && sa.Bt.Run_stats.stop = sb.Bt.Run_stats.stop
   && Int64.equal sa.Bt.Run_stats.interp_insns sb.Bt.Run_stats.interp_insns
   && Int64.equal sa.Bt.Run_stats.memrefs sb.Bt.Run_stats.memrefs
@@ -278,44 +210,15 @@ let guest_invisible (a, (sa : Bt.Run_stats.t)) (b, (sb : Bt.Run_stats.t)) =
   && sa.Bt.Run_stats.retranslations = sb.Bt.Run_stats.retranslations
   && sa.Bt.Run_stats.degraded = sb.Bt.Run_stats.degraded
 
-let rules_equiv_test (label, make) =
+let rules_equiv_test (label, spec) =
   QCheck.Test.make
     ~name:(Printf.sprintf "peephole tier guest-invisible: %s" label)
     ~count:30
     (QCheck.make gen_spec ~print:print_spec)
     (fun groups ->
-      QCheck.assume
-        (match W.Gen.build ~input:W.Gen.Ref groups with
-        | (_ : W.Gen.program) -> true
-        | exception Invalid_argument _ -> false);
-      guest_invisible
-        (run_mechanism_full make groups)
-        (run_mechanism_full ~rules:(Lazy.force committed_rules) make groups))
-
-let run_aot_full ?rules unknown groups =
-  let entry, mem = fresh groups in
-  let summary = sa_summary groups in
-  let rules = Option.map Mda_host.Peephole.activate rules in
-  match Bt.Aot.translate_image ?rules ~summary ~unknown mem ~entry with
-  | Error msg -> failwith ("AOT translation failed: " ^ msg)
-  | Ok (cache, _) ->
-    let mechanism = Bt.Mechanism.Aot { summary; unknown } in
-    let config = { (Bt.Runtime.default_config mechanism) with rules } in
-    let t = Bt.Runtime.create ~config ~cache ~mem () in
-    let stats = Bt.Runtime.run t ~entry in
-    (snapshot t.Bt.Runtime.cpu mem, stats)
-
-let rules_aot_test =
-  QCheck.Test.make ~name:"peephole tier guest-invisible: aot(seq)" ~count:30
-    (QCheck.make gen_spec ~print:print_spec)
-    (fun groups ->
-      QCheck.assume
-        (match W.Gen.build ~input:W.Gen.Ref groups with
-        | (_ : W.Gen.program) -> true
-        | exception Invalid_argument _ -> false);
-      guest_invisible
-        (run_aot_full Bt.Mechanism.Sa_seq groups)
-        (run_aot_full ~rules:(Lazy.force committed_rules) Bt.Mechanism.Sa_seq groups))
+      QCheck.assume (buildable groups);
+      guest_invisible (run_spec spec groups)
+        (run_spec ~rules:(Lazy.force committed_rules) spec groups))
 
 (* Seeded: the sweep is deterministic run-to-run, and a reported
    counterexample replays exactly. *)
@@ -337,6 +240,7 @@ let cases =
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
           (rules_equiv_test m))
       mechanisms
-  @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) rules_aot_test ]
+  @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+        (rules_equiv_test ("aot(seq)", Spec.Aot { unknown = Bt.Mechanism.Sa_seq })) ]
 
 let suite = [ ("differential", cases) ]

@@ -14,6 +14,7 @@ module G = Mda_guest
 module GI = Mda_guest.Isa
 module Machine = Mda_machine
 module Bt = Mda_bt
+module Spec = Mda_mech.Mech_spec
 
 let data = Bt.Layout.data_base
 
@@ -144,12 +145,16 @@ let print_prog (p : prog) =
          String.concat "\n" (List.map Mda_guest.Pretty.insn_to_string body))
        p)
 
+(* Every labelled configuration, of either family, that needs no
+   preparation; test_analysis covers the static-analysis ones. *)
 let mechanisms =
-  [ ("direct", Bt.Mechanism.Direct);
-    ("eh", Bt.Mechanism.Exception_handling { rearrange = false });
-    ("eh+rearrange", Bt.Mechanism.Exception_handling { rearrange = true });
-    ("dpeh-full", Bt.Mechanism.Dpeh { threshold = 2; retranslate = Some 2; multiversion = true });
-    ("dynamic", Bt.Mechanism.Dynamic_profiling { threshold = 3 }) ]
+  List.filter_map (function _, Spec.Mech s -> Some s | _, Spec.Interp _ -> None) Spec.run_labels
+  @ List.map snd Spec.stress_labels
+  |> List.sort_uniq compare
+  |> List.filter_map (fun s ->
+         match Spec.plain s with
+         | m -> Some (Spec.describe s, m)
+         | exception Invalid_argument _ -> None)
 
 let equiv_test (label, mechanism) =
   QCheck.Test.make

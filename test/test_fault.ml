@@ -7,37 +7,15 @@
 
 module W = Mda_workloads
 module Bt = Mda_bt
-module Machine = Mda_machine
 module A = Mda_analysis
 module Obs = Mda_obs
 module F = Mda_fault
 
 (* --- workload scaffolding (mirrors the differential suite) ------------- *)
 
-type state = { regs : int64 array; mem : string (* Digest *) }
+let fresh groups = W.Gen.load (W.Gen.build ~input:W.Gen.Ref groups)
 
-let snapshot cpu mem =
-  { regs = Array.init 8 (fun i -> if i = 4 then 0L else Machine.Cpu.get cpu i);
-    mem = Digest.bytes (Machine.Memory.raw mem) }
-
-let state_eq a b = a.regs = b.regs && String.equal a.mem b.mem
-
-let fresh groups =
-  let p = W.Gen.build ~input:W.Gen.Ref groups in
-  let mem = Machine.Memory.create ~size_bytes:Bt.Layout.mem_size in
-  Machine.Memory.load_image mem ~addr:p.W.Gen.asm_program.Mda_guest.Asm.base
-    p.W.Gen.asm_program.Mda_guest.Asm.image;
-  p.W.Gen.init mem;
-  (p.W.Gen.entry, mem)
-
-let oracle groups =
-  let entry, mem = fresh groups in
-  let config =
-    Bt.Runtime.default_config (Bt.Mechanism.Dynamic_profiling { threshold = 1_000_000 })
-  in
-  let t = Bt.Runtime.create ~config ~mem () in
-  let _ = Bt.Runtime.run t ~entry in
-  snapshot t.Bt.Runtime.cpu mem
+let oracle groups = F.Oracle.interpret (fresh groups)
 
 let group ?(sites = 1) ?(execs = 120) ?(bloat = 0) ~label behavior =
   { W.Gen.label;
@@ -51,7 +29,7 @@ let group ?(sites = 1) ?(execs = 120) ?(bloat = 0) ~label behavior =
     via_call = false }
 
 (* Run [groups] under [mechanism] with [faults] injected, tracing every
-   event; returns (stats, records, state, cache). *)
+   event; returns (stats, sink, state, cache). *)
 let run_faulted ?(flush = Bt.Runtime.Block_granularity) ~mechanism ~faults groups =
   let sink = Obs.Trace.create () in
   let config =
@@ -64,7 +42,7 @@ let run_faulted ?(flush = Bt.Runtime.Block_granularity) ~mechanism ~faults group
   let t = Bt.Runtime.create ~config ~mem () in
   Obs.Trace.attach sink t;
   let stats = Bt.Runtime.run t ~entry in
-  (stats, Obs.Trace.records sink, snapshot t.Bt.Runtime.cpu mem, t.Bt.Runtime.cache)
+  (stats, sink, F.Oracle.state t.Bt.Runtime.cpu, t.Bt.Runtime.cache)
 
 let count_ev records f = List.length (List.filter (fun r -> f r.Obs.Trace.ev) records)
 
@@ -86,9 +64,10 @@ let test_trap_storm_degrades () =
       degrade_after = k }
   in
   let mechanism = Bt.Mechanism.Exception_handling { rearrange = false } in
-  let stats, records, state, cache = run_faulted ~mechanism ~faults groups in
+  let stats, sink, state, cache = run_faulted ~mechanism ~faults groups in
+  let records = Obs.Trace.records sink in
   Alcotest.(check bool) "run halts" true (stats.Bt.Run_stats.stop = Bt.Run_stats.Halted);
-  Alcotest.(check bool) "state equals the oracle" true (state_eq (oracle groups) state);
+  Alcotest.(check bool) "state equals the oracle" true (F.Oracle.state_eq (oracle groups) state);
   Alcotest.(check bool) "at least one site degraded" true (stats.Bt.Run_stats.degraded >= 1);
   Alcotest.(check bool) "Ev_degrade in the trace" true
     (count_ev records (function Bt.Runtime.Ev_degrade _ -> true | _ -> false) >= 1);
@@ -139,8 +118,9 @@ let test_degradation_survives_eviction () =
       degrade_after = k }
   in
   let mechanism = Bt.Mechanism.Exception_handling { rearrange = false } in
-  let stats, records, state, _ = run_faulted ~mechanism ~faults groups in
-  Alcotest.(check bool) "state equals the oracle" true (state_eq (oracle groups) state);
+  let stats, sink, state, _ = run_faulted ~mechanism ~faults groups in
+  let records = Obs.Trace.records sink in
+  Alcotest.(check bool) "state equals the oracle" true (F.Oracle.state_eq (oracle groups) state);
   Alcotest.(check bool) "evictions happened" true (stats.Bt.Run_stats.evictions > 0);
   (* once degraded, a site never re-enters the patching path — even
      after its block was evicted and re-translated *)
@@ -169,15 +149,15 @@ let test_eviction_under_pressure () =
       in
       let cap = 60 in
       let faults = { Bt.Runtime.no_faults with cache_capacity = Some cap } in
-      let stats, records, state, cache =
+      let stats, sink, state, cache =
         run_faulted ~flush ~mechanism:eviction_mechanism ~faults groups
       in
       Alcotest.(check bool) "halts" true (stats.Bt.Run_stats.stop = Bt.Run_stats.Halted);
-      Alcotest.(check bool) "state equals the oracle" true (state_eq (oracle groups) state);
+      Alcotest.(check bool) "state equals the oracle" true (F.Oracle.state_eq (oracle groups) state);
       Alcotest.(check bool) "evictions happened" true (stats.Bt.Run_stats.evictions > 0);
       Alcotest.(check int) "eviction counter matches the trace"
         stats.Bt.Run_stats.evictions
-        (count_ev records (function Bt.Runtime.Ev_evict _ -> true | _ -> false));
+        (count_ev (Obs.Trace.records sink) (function Bt.Runtime.Ev_evict _ -> true | _ -> false));
       let report = A.Check.run ~capacity:cap cache in
       Alcotest.(check bool) "selfcheck (incl. occupancy) holds" true (A.Check.ok report);
       Alcotest.(check bool) "post-run occupancy within bound (or one block)" true
@@ -203,25 +183,12 @@ let test_faulted_trace_replays () =
       degrade_after = 2 }
   in
   let mechanism = Bt.Mechanism.Exception_handling { rearrange = false } in
-  let sink = Obs.Trace.create () in
-  let config =
-    { (Bt.Runtime.default_config mechanism) with faults; on_event = Some (Obs.Trace.hook sink) }
-  in
-  let entry, mem = fresh groups in
-  let t = Bt.Runtime.create ~config ~mem () in
-  Obs.Trace.attach sink t;
-  let stats = Bt.Runtime.run t ~entry in
+  let stats, sink, _, _ = run_faulted ~mechanism ~faults groups in
   Alcotest.(check bool) "plan produced faults" true
     (stats.Bt.Run_stats.evictions > 0 && stats.Bt.Run_stats.patch_faults > 0);
-  let jsonl = Obs.Trace.to_jsonl ~mechanism:"eh" ~bench:"fault-replay" ~scale:1.0 ~stats sink in
-  match Obs.Trace.of_jsonl jsonl with
-  | Error e -> Alcotest.failf "trace unparsable: %s" e
-  | Ok f -> (
-    match Obs.Trace.replay f with
-    | Error e -> Alcotest.failf "replay failed: %s" e
-    | Ok replayed ->
-      Alcotest.(check bool) "replay reconstructs the faulted run exactly" true
-        (replayed = stats))
+  match F.Oracle.replay_problem ~mechanism:"eh" ~bench:"fault-replay" ~stats sink with
+  | Some problem -> Alcotest.fail problem
+  | None -> ()
 
 (* --- fault plans --------------------------------------------------------- *)
 

@@ -23,6 +23,7 @@ let () =
          Test_obs.suite;
          Test_golden.suite;
          Test_cli.suite;
+         Test_registry.suite;
          Test_server.suite;
          Test_models.suite;
          Test_harness.suite ])

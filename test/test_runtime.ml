@@ -9,6 +9,8 @@ module Bt = Mda_bt
 
 let data = Bt.Layout.data_base
 
+(* Assemble a program behind a stack-pointer prologue and load it into
+   fresh memory. *)
 let load_program build =
   let asm = G.Asm.create () in
   G.Asm.movi asm GI.ESP Bt.Layout.stack_top;
@@ -18,9 +20,15 @@ let load_program build =
   Machine.Memory.load_image mem ~addr:program.G.Asm.base program.G.Asm.image;
   (program, mem)
 
+(* A loop that increments a counter [iters] times:
+     for (i = iters; i > 0; i--) body
+   [body] receives the asm builder; ECX is the induction variable. *)
 let counted_loop asm ~iters body =
   let open G.Asm in
   movi asm GI.ECX iters;
+  (* end the preamble block here so the loop body is a block of its own
+     (otherwise the body's code is duplicated into the entry block and
+     per-site accounting doubles) *)
   let top = fresh_label asm in
   jmp asm top;
   bind asm top;
@@ -269,16 +277,36 @@ let test_profile_survives_retranslation () =
 
 (* --- DBT invariant checker ---------------------------------------------------- *)
 
+(* A hand-built program as a preparation subject; it has one input, so
+   the train image is the run image. *)
+let subject build =
+  let load () =
+    let program, mem = load_program build in
+    (program.G.Asm.base, mem)
+  in
+  { Mda_mech.Mech_spec.name = "hand-built"; image = load; train = load }
+
+(* Every mechanism family: static profiling ships an empty summary (so
+   every MDA is OS-fixed up), and both SA modes analyze [build] first. *)
+let mechanism_zoo build =
+  let sa unknown =
+    (Mda_mech.Mech_spec.prepare (subject build)
+       (Mda_mech.Mech_spec.Static_analysis { unknown })).Mda_mech.Mech_spec.mechanism
+  in
+  [ Bt.Mechanism.Direct;
+    Bt.Mechanism.Exception_handling { rearrange = false };
+    Bt.Mechanism.Exception_handling { rearrange = true };
+    Bt.Mechanism.Dynamic_profiling { threshold = 50 };
+    Bt.Mechanism.Static_profiling (Bt.Profile.empty_summary ());
+    Bt.Mechanism.Dpeh { threshold = 0; retranslate = Some 2; multiversion = true };
+    sa Bt.Mechanism.Sa_fallback;
+    sa Bt.Mechanism.Sa_seq ]
+
 (* Every mechanism family finishes a patching-heavy run with the
    invariant checker green (run_cfg_rt asserts it); the SA mechanisms
    analyze the same program first. *)
 let test_selfcheck_every_mechanism () =
   let build = loop_build 300 in
-  let sa unknown =
-    let program, mem = load_program build in
-    let a = Mda_analysis.Dataflow.analyze mem ~entry:program.G.Asm.base in
-    Bt.Mechanism.Static_analysis { summary = Mda_analysis.Dataflow.summary a; unknown }
-  in
   List.iter
     (fun mech ->
       let stats, _, _ = run_cfg_rt (Bt.Runtime.default_config mech) build in
@@ -286,14 +314,7 @@ let test_selfcheck_every_mechanism () =
         (Bt.Mechanism.name mech ^ " ran")
         true
         (stats.Bt.Run_stats.guest_insns > 0L))
-    [ Bt.Mechanism.Direct;
-      Bt.Mechanism.Exception_handling { rearrange = false };
-      Bt.Mechanism.Exception_handling { rearrange = true };
-      Bt.Mechanism.Dynamic_profiling { threshold = 50 };
-      Bt.Mechanism.Static_profiling (Bt.Profile.empty_summary ());
-      Bt.Mechanism.Dpeh { threshold = 0; retranslate = Some 2; multiversion = true };
-      sa Bt.Mechanism.Sa_fallback;
-      sa Bt.Mechanism.Sa_seq ]
+    (mechanism_zoo build)
 
 (* Seeded negative test: corrupt the patch bookkeeping of a finished EH
    run and demand the checker notices both corruptions. *)

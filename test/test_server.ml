@@ -5,31 +5,14 @@
    pressure (the qcheck property). *)
 
 module Bt = Mda_bt
-module Machine = Mda_machine
 module Obs = Mda_obs
 module Srv = Mda_server
+module F = Mda_fault
 module H = Mda_host.Isa
 
-type state = { regs : int64 array; mem : string (* Digest *) }
+let oracle tspec = F.Oracle.interpret (Srv.Tenants.fresh_mem tspec)
 
-let snapshot (cpu : Machine.Cpu.t) mem =
-  { regs = Array.init 8 (fun i -> if i = 4 then 0L else Machine.Cpu.get cpu i);
-    mem = Digest.bytes (Machine.Memory.raw mem) }
-
-let state_eq a b = a.regs = b.regs && String.equal a.mem b.mem
-
-let oracle tspec =
-  let entry, mem = Srv.Tenants.fresh_mem tspec in
-  let config =
-    Bt.Runtime.default_config (Bt.Mechanism.Dynamic_profiling { threshold = 1_000_000 })
-  in
-  let t = Bt.Runtime.create ~config ~mem () in
-  let _ = Bt.Runtime.run t ~entry in
-  snapshot t.Bt.Runtime.cpu mem
-
-let session_state (s : Srv.Session.t) =
-  let cpu = s.Srv.Session.rt.Bt.Runtime.cpu in
-  snapshot cpu cpu.Machine.Cpu.mem
+let session_state (s : Srv.Session.t) = F.Oracle.state s.Srv.Session.rt.Bt.Runtime.cpu
 
 (* --- step-resumable sessions ------------------------------------------- *)
 
@@ -52,7 +35,7 @@ let test_session_equiv () =
           let entry, mem = Srv.Tenants.fresh_mem tspec in
           let rt = Bt.Runtime.create ~config ~mem () in
           let run_stats = Bt.Runtime.run rt ~entry in
-          let run_state = snapshot rt.Bt.Runtime.cpu mem in
+          let run_state = F.Oracle.state rt.Bt.Runtime.cpu in
           (* sliced *)
           let entry2, mem2 = Srv.Tenants.fresh_mem tspec in
           let sess =
@@ -71,7 +54,7 @@ let test_session_equiv () =
           drive 0;
           let name = Printf.sprintf "%s tenant %d" mech tspec.Srv.Tenants.tid in
           Alcotest.(check bool) (name ^ ": state matches whole-run") true
-            (state_eq run_state (session_state sess));
+            (F.Oracle.state_eq run_state (session_state sess));
           let sess_stats = Srv.Session.stats sess in
           Alcotest.(check bool) (name ^ ": stats match whole-run") true
             (run_stats = sess_stats);
@@ -106,7 +89,7 @@ let check_finals_against_oracle name tspecs (outcome : Srv.Scheduler.outcome) =
         Alcotest.(check bool)
           (Printf.sprintf "%s: session %d state matches oracle" name sid)
           true
-          (state_eq (oracle tspec) (session_state s)))
+          (F.Oracle.state_eq (oracle tspec) (session_state s)))
     outcome.Srv.Scheduler.finals
 
 (* --- admission control ------------------------------------------------- *)

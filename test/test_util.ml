@@ -13,6 +13,8 @@ let committed_rules =
     | Some root -> Filename.concat root (Filename.concat "rules" "pr8.rules")
     | None -> local
 
+let slurp path = In_channel.with_open_bin path In_channel.input_all
+
 let check_float = Alcotest.(check (float 1e-9))
 
 (* --- Rng ------------------------------------------------------------- *)

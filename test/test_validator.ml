@@ -4,7 +4,6 @@
 
 module G = Mda_guest
 module GI = Mda_guest.Isa
-module Machine = Mda_machine
 module Bt = Mda_bt
 module V = Mda_analysis.Validator
 
@@ -13,11 +12,7 @@ let data = Bt.Layout.data_base
 (* Validate every live block of a finished runtime's cache, re-decoding
    guest blocks from the same memory image. *)
 let validate_runtime (t : Bt.Runtime.t) =
-  let mem = t.Bt.Runtime.cpu.Machine.Cpu.mem in
-  let block_of start =
-    match Bt.Block.discover mem ~pc:start with Ok b -> Some b | Error _ -> None
-  in
-  V.run ~cache:t.Bt.Runtime.cache ~block_of
+  V.run ~cache:t.Bt.Runtime.cache ~block_of:(Bt.Runtime.guest_block t)
 
 let assert_clean what t =
   let r = validate_runtime t in
@@ -25,27 +20,8 @@ let assert_clean what t =
     Alcotest.failf "%s: %s" what (Format.asprintf "%a" V.pp_report r);
   r
 
-(* The mechanism zoo from the runtime suite, including both SA modes. *)
-let mechanism_zoo build =
-  let sa unknown =
-    let program, mem = Test_runtime.load_program build in
-    let a = Mda_analysis.Dataflow.analyze mem ~entry:program.G.Asm.base in
-    Bt.Mechanism.Static_analysis { summary = Mda_analysis.Dataflow.summary a; unknown }
-  in
-  [ Bt.Mechanism.Direct;
-    Bt.Mechanism.Exception_handling { rearrange = false };
-    Bt.Mechanism.Exception_handling { rearrange = true };
-    Bt.Mechanism.Dynamic_profiling { threshold = 50 };
-    Bt.Mechanism.Static_profiling (Bt.Profile.empty_summary ());
-    Bt.Mechanism.Dpeh { threshold = 0; retranslate = Some 2; multiversion = true };
-    sa Bt.Mechanism.Sa_fallback;
-    sa Bt.Mechanism.Sa_seq ]
-
 let run_build mech build =
-  let program, mem = Test_runtime.load_program build in
-  let config = Bt.Runtime.default_config mech in
-  let t = Bt.Runtime.create ~config ~mem () in
-  let stats = Bt.Runtime.run t ~entry:program.G.Asm.base in
+  let stats, _, t = Test_bt.run_mechanism mech build in
   (stats, t)
 
 (* A counted loop whose tail compares against 1, so no emitted host
@@ -126,13 +102,9 @@ let test_zoo_validates_clean () =
       Alcotest.(check bool)
         (Bt.Mechanism.name mech ^ " checked blocks")
         true (r.V.blocks_checked > 0))
-    (mechanism_zoo rich_build)
+    (Test_runtime.mechanism_zoo rich_build)
 
 (* --- mutation harness: the validator must have teeth ------------------- *)
-
-let block_of_runtime t start =
-  let mem = t.Bt.Runtime.cpu.Machine.Cpu.mem in
-  match Bt.Block.discover mem ~pc:start with Ok b -> Some b | Error _ -> None
 
 let test_mutation_kill_ratio () =
   (* one patching mechanism (out-of-line sequences live in the cache)
@@ -144,7 +116,7 @@ let test_mutation_kill_ratio () =
       ignore (assert_clean (Bt.Mechanism.name mech) t);
       let o =
         Mda_analysis.Mutate.run ~cache:t.Bt.Runtime.cache
-          ~block_of:(block_of_runtime t) ~max_mutants:300 ()
+          ~block_of:(Bt.Runtime.guest_block t) ~max_mutants:300 ()
       in
       Format.printf "%s %a@." (Bt.Mechanism.name mech) Mda_analysis.Mutate.pp_outcome o;
       Alcotest.(check bool) (Bt.Mechanism.name mech ^ " mutated something") true (o.total > 100);
@@ -175,7 +147,7 @@ let test_mutation_kill_ratio_with_rules () =
       ignore (assert_clean (Bt.Mechanism.name mech ^ "+rules") t);
       let o =
         Mda_analysis.Mutate.run ~cache:t.Bt.Runtime.cache
-          ~block_of:(block_of_runtime t) ~max_mutants:300 ()
+          ~block_of:(Bt.Runtime.guest_block t) ~max_mutants:300 ()
       in
       Alcotest.(check bool)
         (Bt.Mechanism.name mech ^ "+rules mutated something")
@@ -194,22 +166,14 @@ let test_mutation_kill_ratio_with_rules () =
    validate clean. This is the completeness half of the
    mutation-harness coin — the validator accepts all correct
    translations, and (above) rejects corrupted ones. *)
-let validator_differential_test (label, make) =
+let validator_differential_test (label, spec) =
   QCheck.Test.make
     ~name:(Printf.sprintf "workload cache validates clean: %s" label)
     ~count:10
     (QCheck.make Test_differential.gen_spec ~print:Test_differential.print_spec)
     (fun groups ->
-      QCheck.assume
-        (match Mda_workloads.Gen.build ~input:Mda_workloads.Gen.Ref groups with
-        | (_ : Mda_workloads.Gen.program) -> true
-        | exception Invalid_argument _ -> false);
-      let mechanism = make groups in
-      let entry, mem = Test_differential.fresh groups in
-      let t =
-        Bt.Runtime.create ~config:(Bt.Runtime.default_config mechanism) ~mem ()
-      in
-      let _ = Bt.Runtime.run t ~entry in
+      QCheck.assume (Test_differential.buildable groups);
+      let _, t = Test_differential.run_rt spec groups in
       let r = validate_runtime t in
       if not (V.ok r) then
         QCheck.Test.fail_reportf "%s: %a" label V.pp_report r
