@@ -60,25 +60,6 @@ module A = Mda_analysis
 module Bt = Mda_bt
 module Srv = Mda_server
 
-let experiments :
-    (string * (?opts:H.Experiment.options -> unit -> H.Experiment.rendered)) list =
-  [ ("table1", H.Table1.run);
-    ("table2", H.Table2.run);
-    ("table3", H.Table3.run);
-    ("table4", H.Table4.run);
-    ("fig1", H.Fig1.run);
-    ("fig10", H.Fig10.run);
-    ("fig11", H.Fig11.run);
-    ("fig12", H.Fig12.run);
-    ("fig13", H.Fig13.run);
-    ("fig14", H.Fig14.run);
-    ("fig15", H.Fig15.run);
-    ("fig16", H.Fig16.run);
-    ("sharedlib", H.Sharedlib.run);
-    ("ablate-trapcost", H.Ablation.trap_cost);
-    ("ablate-chaining", H.Ablation.chaining);
-    ("ablate-flush", H.Ablation.flush) ]
-
 (* Reduced workload for the measurement loop: three representative
    benchmarks (low / highest / biased MDA ratio) at 2% volume. *)
 let measure_opts =
@@ -88,9 +69,9 @@ let measure_opts =
 
 let tests =
   List.map
-    (fun ((name, run) : string * (?opts:H.Experiment.options -> unit -> H.Experiment.rendered)) ->
+    (fun (name, _, (run : H.Paper.runner)) ->
       Test.make ~name (Staged.stage (fun () -> ignore (run ~opts:measure_opts ()))))
-    experiments
+    H.Paper.experiments
 
 let run_measurements () =
   let quota_ms =
@@ -739,9 +720,8 @@ let () =
     Printf.printf "== Regenerating all tables and figures (scale %.2f) ==\n\n%!" scale;
     let opts = { H.Experiment.default_options with H.Experiment.scale } in
     List.iter
-      (fun ((_, run) : string * (?opts:H.Experiment.options -> unit -> H.Experiment.rendered)) ->
-        let rendered = run ~opts () in
-        print_string (H.Experiment.render rendered);
+      (fun (_, _, (run : H.Paper.runner)) ->
+        print_string (H.Experiment.render (run ~opts ()));
         print_newline ())
-      experiments
+      H.Paper.experiments
   end

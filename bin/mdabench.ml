@@ -16,197 +16,19 @@ module W = Mda_workloads
 module F = Mda_fault
 module Srv = Mda_server
 module Spec = Mda_mech.Mech_spec
+module A = Mda_analysis
+module P = Mda_host.Peephole
+module Obs = Mda_obs
 
-(* (name, one-line description, runner); [mdabench list] and each
-   subcommand's --help show the descriptions *)
-let experiments :
-    (string * string * (?opts:H.Experiment.options -> unit -> H.Experiment.rendered)) list =
-  [ ("table1", "MDA counts and ratios of the SPEC benchmarks (Table I)", H.Table1.run);
-    ("sharedlib", "MDA attribution: application vs shared-library code (Section II)", H.Sharedlib.run);
-    ("ablate-trapcost", "Figure-16 geomeans vs misalignment-trap cost", H.Ablation.trap_cost);
-    ("ablate-chaining", "block chaining on/off under exception handling", H.Ablation.chaining);
-    ("ablate-flush", "retranslation flush policy: block vs full-cache", H.Ablation.flush);
-    ("table2", "mechanisms and their configuration choices (Table II)", H.Table2.run);
-    ("table3", "MDAs undetected by dynamic profiling (Table III)", H.Table3.run);
-    ("table4", "MDAs remaining with train-input profiles (Table IV)", H.Table4.run);
-    ("fig1", "native speedup from alignment-optimization flags (Figure 1)", H.Fig1.run);
-    ("fig10", "runtime vs dynamic-profiling threshold (Figure 10)", H.Fig10.run);
-    ("fig11", "gain/loss from code rearrangement (Figure 11)", H.Fig11.run);
-    ("fig12", "gain/loss of DPEH over exception handling (Figure 12)", H.Fig12.run);
-    ("fig13", "gain/loss from retranslation (Figure 13)", H.Fig13.run);
-    ("fig14", "gain/loss from multi-version code (Figure 14)", H.Fig14.run);
-    ("fig15", "MDA instructions by misaligned-ratio class (Figure 15)", H.Fig15.run);
-    ("fig16", "overall mechanism comparison, normalized to EH (Figure 16)", H.Fig16.run);
-    ("figsa", "static alignment analysis vs the paper's mechanisms (Figure SA)", H.Figsa.run) ]
+(* --- the argument spine: every flag shared by two commands, once ------- *)
 
-(* --- common options ---------------------------------------------------- *)
+(* The positional workload name. Commands where --replay, --from or
+   --program can stand in for it take it optionally. *)
+let bench_pos doc = Arg.(pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc)
 
-let scale_arg =
-  let doc = "Workload volume multiplier (1.0 = ~300k memory references per benchmark)." in
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"FACTOR" ~doc)
+let bench_arg doc = Arg.required (bench_pos doc)
 
-let benchmarks_arg =
-  let doc = "Comma-separated benchmark subset (defaults to the paper's 21 selected)." in
-  Arg.(value & opt (some string) None & info [ "benchmarks" ] ~docv:"NAMES" ~doc)
-
-let csv_dir_arg =
-  let doc = "Also write each experiment's rows as CSV into this directory." in
-  Arg.(value & opt (some string) None & info [ "csv-dir" ] ~docv:"DIR" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Fan experiment cells out over $(docv) worker processes (1 = sequential, no fork)."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let no_cache_arg =
-  let doc = "Bypass the persistent result cache: neither read nor write it." in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let cache_dir_arg =
-  let doc = "Persistent result-cache directory." in
-  Arg.(
-    value
-    & opt string H.Result_cache.default_dir
-    & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-
-let timeout_arg =
-  let doc =
-    "Kill any cell running longer than $(docv) seconds of wall clock; the worker is \
-     respawned and the cell reported as failed. Needs $(b,--jobs) > 1 (the sequential \
-     path has no separate process to kill)."
-  in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
-
-let capacity_arg =
-  let doc =
-    "Bound every mechanism's code cache to $(docv) live host instructions (LRU-by-block \
-     eviction; retranslation on re-dispatch). Interpreter cells have no code cache and \
-     are unaffected."
-  in
-  Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~docv:"INSNS" ~doc)
-
-(* One shared plan-then-execute context per invocation: [mdabench all]
-   passes it to every experiment so identical cells are simulated once. *)
-let exec_of ~jobs ~no_cache ~cache_dir ~timeout ~capacity =
-  let cache = if no_cache then None else Some (H.Result_cache.create ~dir:cache_dir ()) in
-  H.Exec.create ~jobs ?timeout ?capacity ?cache ()
-
-let opts_of ~scale ~benchmarks ~exec =
-  let base = H.Experiment.default_options in
-  let benchmarks =
-    match benchmarks with
-    | None -> base.H.Experiment.benchmarks
-    | Some s -> String.split_on_char ',' s |> List.map String.trim
-  in
-  { H.Experiment.scale; benchmarks; exec = Some exec }
-
-let write_csv dir name rendered =
-  let path = Filename.concat dir (name ^ ".csv") in
-  let oc = open_out path in
-  output_string oc (H.Experiment.to_csv rendered);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-(* Timing and cache-accounting report for one experiment. Goes to
-   stderr so stdout stays byte-identical across --jobs settings and
-   cache states. *)
-let report_experiment name ~secs ~(delta : H.Exec.counters) =
-  Printf.eprintf "[mdabench] %s: %s (cells: %d computed, %d cache hits, %d deduped%s)\n%!"
-    name
-    (Mda_util.Stats.duration secs)
-    delta.H.Exec.computed delta.H.Exec.cache_hits delta.H.Exec.memo_hits
-    (if delta.H.Exec.failed > 0 then Printf.sprintf ", %d FAILED" delta.H.Exec.failed
-     else "")
-
-let run_experiment ?exec name scale benchmarks csv_dir =
-  match List.find_opt (fun (n, _, _) -> n = name) experiments with
-  | None ->
-    Printf.eprintf "unknown experiment %s\n" name;
-    1
-  | Some (_, _, f) ->
-    let exec =
-      match exec with
-      | Some e -> e
-      | None ->
-        exec_of ~jobs:1 ~no_cache:true ~cache_dir:H.Result_cache.default_dir ~timeout:None
-          ~capacity:None
-    in
-    let opts = opts_of ~scale ~benchmarks ~exec in
-    let before = H.Exec.counters exec in
-    let t0 = Unix.gettimeofday () in
-    let rendered = f ~opts () in
-    let secs = Unix.gettimeofday () -. t0 in
-    report_experiment name ~secs ~delta:(H.Exec.diff_counters (H.Exec.counters exec) before);
-    print_string (H.Experiment.render rendered);
-    (match csv_dir with Some d -> write_csv d name rendered | None -> ());
-    0
-
-(* --- per-experiment commands ------------------------------------------ *)
-
-let experiment_cmd (exp_name, desc, _) =
-  let doc = Printf.sprintf "Regenerate %s: %s." exp_name desc in
-  let run scale benchmarks csv_dir jobs no_cache cache_dir timeout capacity =
-    let exec = exec_of ~jobs ~no_cache ~cache_dir ~timeout ~capacity in
-    run_experiment ~exec exp_name scale benchmarks csv_dir
-  in
-  let term =
-    Term.(
-      const run $ scale_arg $ benchmarks_arg $ csv_dir_arg $ jobs_arg $ no_cache_arg
-      $ cache_dir_arg $ timeout_arg $ capacity_arg)
-  in
-  Cmd.v (Cmd.info exp_name ~doc) term
-
-let all_cmd =
-  let doc =
-    "Regenerate every table and figure, deduping identical cells across experiments."
-  in
-  let run scale benchmarks csv_dir jobs no_cache cache_dir timeout capacity =
-    let exec = exec_of ~jobs ~no_cache ~cache_dir ~timeout ~capacity in
-    let t0 = Unix.gettimeofday () in
-    let rc =
-      List.fold_left
-        (fun acc (name, _, _) ->
-          let rc = run_experiment ~exec name scale benchmarks csv_dir in
-          print_newline ();
-          max acc rc)
-        0 experiments
-    in
-    let secs = Unix.gettimeofday () -. t0 in
-    let c = H.Exec.counters exec in
-    let served = c.H.Exec.cache_hits and fresh = c.H.Exec.computed in
-    let pct =
-      if served + fresh = 0 then 0
-      else int_of_float (100.0 *. float_of_int served /. float_of_int (served + fresh))
-    in
-    Printf.eprintf
-      "[mdabench] all: %s total; %d cells (%d computed, %d cache hits, %d deduped); \
-       cache-served=%d%%\n%!"
-      (Mda_util.Stats.duration secs)
-      (served + fresh + c.H.Exec.memo_hits)
-      fresh served c.H.Exec.memo_hits pct;
-    if c.H.Exec.failed > 0 then begin
-      List.iter
-        (fun (cell, e) ->
-          Printf.eprintf "[mdabench] FAILED %s: %s\n%!" (H.Cell.describe cell) e)
-        (H.Exec.failures exec);
-      max rc 1
-    end
-    else rc
-  in
-  Cmd.v (Cmd.info "all" ~doc)
-    Term.(
-      const run $ scale_arg $ benchmarks_arg $ csv_dir_arg $ jobs_arg $ no_cache_arg
-      $ cache_dir_arg $ timeout_arg $ capacity_arg)
-
-(* --- run a single benchmark under one mechanism ------------------------ *)
-
-(* [-m] of run/trace/hot: a run-family label, default eh *)
-let mechanism_arg ~doc =
-  Arg.(
-    value
-    & opt Spec.run_conv (Spec.Mech Spec.best_eh)
-    & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc)
+let bench_opt_arg doc = Arg.value (bench_pos doc)
 
 (* Hand-written workloads: [Workload.instantiate] dispatches any name
    ending in ".asm" to the textual assembler, so a file path can stand
@@ -219,22 +41,93 @@ let program_arg =
   in
   Arg.(value & opt (some string) None & info [ "program" ] ~docv:"FILE.asm" ~doc)
 
-let workload_name ~cmd bench program =
-  match (bench, program) with
-  | Some n, None -> n
-  | None, Some p -> p
-  | Some _, Some _ ->
-    Printf.eprintf "mdabench %s: give either BENCHMARK or --program, not both\n" cmd;
-    exit 1
-  | None, None ->
-    Printf.eprintf "mdabench %s: BENCHMARK or --program FILE.asm required\n" cmd;
-    exit 1
+(* BENCHMARK or --program, never both; [None] when neither is given *)
+let workload_arg ~cmd doc =
+  let pick bench program =
+    match (bench, program) with
+    | Some _, Some _ ->
+      Printf.eprintf "mdabench %s: give either BENCHMARK or --program, not both\n" cmd;
+      exit 1
+    | None, p -> p
+    | b, None -> b
+  in
+  Term.(const pick $ bench_opt_arg doc $ program_arg)
+
+let required_workload_arg ~cmd doc =
+  let need = function
+    | Some name -> name
+    | None ->
+      Printf.eprintf "mdabench %s: BENCHMARK or --program FILE.asm required\n" cmd;
+      exit 1
+  in
+  Term.(const need $ workload_arg ~cmd doc)
+
+(* A comma-separated list; empty when the flag is absent. *)
+let names_arg names ~docv ~doc =
+  Term.map (List.map String.trim)
+    Arg.(value & opt (list string) [] & info names ~docv ~doc)
+
+let benchmarks_arg doc = names_arg [ "benchmarks" ] ~docv:"NAMES" ~doc
+
+(* An explicit benchmark list plus the --program file; [default] when
+   both are absent. *)
+let targets ~default benchmarks program =
+  match benchmarks @ Option.to_list program with [] -> default | names -> names
+
+let scale_arg ?(default = 1.0)
+    ?(doc = "Workload volume multiplier (1.0 = ~300k memory references per benchmark).") () =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "invalid scale %S: expected a finite number > 0" s))
+  in
+  let factor = Arg.conv (parse, Arg.conv_printer Arg.float) in
+  Arg.(value & opt factor default & info [ "scale" ] ~docv:"FACTOR" ~doc)
+
+let seed_arg ~default doc = Arg.(value & opt int default & info [ "seed" ] ~docv:"N" ~doc)
+
+let limit_arg ~default doc = Arg.(value & opt int default & info [ "limit" ] ~docv:"N" ~doc)
+
+let jobs_arg =
+  let doc =
+    "Fan experiment cells out over $(docv) worker processes (1 = sequential, no fork)."
+  in
+  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let capacity_arg =
+  let doc =
+    "Bound every mechanism's code cache to $(docv) live host instructions (LRU-by-block \
+     eviction; retranslation on re-dispatch). Interpreter cells have no code cache and \
+     are unaffected."
+  in
+  Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~docv:"INSNS" ~doc)
+
+(* [-m] of run/trace/hot: a run-family label, default eh *)
+let mechanism_arg ~doc =
+  Arg.(
+    value
+    & opt Spec.run_conv (Spec.Mech Spec.best_eh)
+    & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc)
+
+let mode_arg =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "inter" | "interprocedural" -> Ok A.Dataflow.Interprocedural
+    | "intra" | "intraprocedural" -> Ok A.Dataflow.Intraprocedural
+    | _ -> Error (`Msg (Printf.sprintf "unknown analysis mode %S (inter | intra)" s))
+  in
+  let mode =
+    Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (A.Dataflow.mode_name m))
+  in
+  Arg.(
+    value
+    & opt mode A.Dataflow.Interprocedural
+    & info [ "mode" ] ~docv:"MODE"
+        ~doc:"analysis engine: inter (whole-program, default) | intra (supergraph baseline)")
 
 (* --- the peephole rewrite tier ----------------------------------------- *)
 
-module P = Mda_host.Peephole
-
-let rules_arg =
+let rules_file_arg =
   let doc =
     "Enable the validator-proved peephole rewrite tier with the rule file $(docv) (mined \
      by $(b,mdabench mine)); applications are counted in the peephole_hits / \
@@ -257,13 +150,170 @@ let load_rules = function
         Printf.eprintf "mdabench: bad rule file %s: %s\n" path msg;
         exit 1))
 
+let rules_arg = Term.(const load_rules $ rules_file_arg)
+
+(* --- tracing ------------------------------------------------------------ *)
+
+(* The output file paired with the sink that fills it. *)
+let trace_out_arg =
+  let doc =
+    "Also write the complete event trace as JSONL to $(docv) (session-tagged under \
+     $(b,serve)). Tracing is a pure observation artifact: stdout is byte-identical with \
+     and without this flag."
+  in
+  Term.map
+    (Option.map (fun file -> (file, Obs.Trace.create ())))
+    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+
+(* The one trace writer. Its note goes to stderr: instrumentation never
+   changes stdout. *)
+let write_trace ~mechanism ~bench ~scale ~stats (file, sink) =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Obs.Trace.to_jsonl ~mechanism ~bench ~scale ~stats sink));
+  Printf.eprintf "[mdabench] wrote %s (%d events, schema v%d)\n%!" file
+    (Obs.Trace.length sink) Obs.Trace.schema_version
+
+(* --- cache checks ------------------------------------------------------- *)
+
+(* The DBT invariant checker ([`Selfcheck]) and the symbolic translation
+   validator ([`Validate]) over the live code cache a run left behind, in
+   the order given: each report's text, whether every check passed, and
+   the validator's budget bail-outs. The bail-outs also land in the run's
+   counter registry, so any reader of it sees proof-coverage gaps. *)
+let check_cache checks rt =
+  let cache = rt.Bt.Runtime.cache in
+  List.fold_left
+    (fun (texts, ok, bailouts) check ->
+      match check with
+      | `Selfcheck ->
+        let c = A.Check.run cache in
+        (texts @ [ Format.asprintf "%a" A.Check.pp_report c ], ok && A.Check.ok c, bailouts)
+      | `Validate ->
+        let v = A.Validator.run ~cache ~block_of:(Bt.Runtime.guest_block rt) in
+        let b = A.Validator.budget_bailouts v in
+        Bt.Counters.addi rt.Bt.Runtime.counters Bt.Counters.Validator_bailouts b;
+        ( texts @ [ Format.asprintf "%a" A.Validator.pp_report v ],
+          ok && A.Validator.ok v,
+          bailouts + b ))
+    ([], true, 0) checks
+
+(* Print the reports; exit code 2 on any violation. *)
+let report_checks checks rt =
+  let texts, ok, _ = check_cache checks rt in
+  List.iter print_endline texts;
+  if ok then 0 else 2
+
+(* --- experiments -------------------------------------------------------- *)
+
+(* One plan-then-execute context per invocation, bundled with the scale
+   and benchmark subset every experiment reads: [mdabench all] hands the
+   same options to every experiment, so identical cells run once. *)
+let opts_arg =
+  let no_cache =
+    let doc = "Bypass the persistent result cache: neither read nor write it." in
+    Arg.(value & flag & info [ "no-cache" ] ~doc)
+  in
+  let cache_dir =
+    let doc = "Persistent result-cache directory." in
+    Arg.(
+      value & opt string H.Result_cache.default_dir & info [ "cache-dir" ] ~docv:"DIR" ~doc)
+  in
+  let timeout =
+    let doc =
+      "Kill any cell running longer than $(docv) seconds of wall clock; the worker is \
+       respawned and the cell reported as failed. Needs $(b,--jobs) > 1 (the sequential \
+       path has no separate process to kill)."
+    in
+    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
+  in
+  let make scale benchmarks jobs no_cache cache_dir timeout capacity =
+    let cache = if no_cache then None else Some (H.Result_cache.create ~dir:cache_dir ()) in
+    let benchmarks =
+      if benchmarks = [] then H.Experiment.default_options.H.Experiment.benchmarks
+      else benchmarks
+    in
+    { H.Experiment.scale;
+      benchmarks;
+      exec = Some (H.Exec.create ~jobs ?timeout ?capacity ?cache ()) }
+  in
+  Term.(
+    const make $ scale_arg ()
+    $ benchmarks_arg "Comma-separated benchmark subset (defaults to the paper's 21 selected)."
+    $ jobs_arg $ no_cache $ cache_dir $ timeout $ capacity_arg)
+
+let csv_dir_arg =
+  let doc = "Also write each experiment's rows as CSV into this directory." in
+  Arg.(value & opt (some string) None & info [ "csv-dir" ] ~docv:"DIR" ~doc)
+
+(* Run one experiment and print it. Timing and cache accounting go to
+   stderr so stdout stays byte-identical across --jobs settings and
+   cache states. *)
+let run_experiment opts csv_dir (name, _, (run : H.Paper.runner)) =
+  let exec = H.Experiment.exec_of opts in
+  let before = H.Exec.counters exec in
+  let t0 = Unix.gettimeofday () in
+  let rendered = run ~opts () in
+  let secs = Unix.gettimeofday () -. t0 in
+  let delta = H.Exec.diff_counters (H.Exec.counters exec) before in
+  Printf.eprintf "[mdabench] %s: %s (cells: %d computed, %d cache hits, %d deduped%s)\n%!"
+    name
+    (Mda_util.Stats.duration secs)
+    delta.H.Exec.computed delta.H.Exec.cache_hits delta.H.Exec.memo_hits
+    (if delta.H.Exec.failed > 0 then Printf.sprintf ", %d FAILED" delta.H.Exec.failed
+     else "");
+  print_string (H.Experiment.render rendered);
+  Option.iter
+    (fun dir ->
+      let path = Filename.concat dir (name ^ ".csv") in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (H.Experiment.to_csv rendered));
+      Printf.printf "wrote %s\n%!" path)
+    csv_dir
+
+let experiment_cmd ((name, desc, _) as exp) =
+  let doc = Printf.sprintf "Regenerate %s: %s." name desc in
+  let run opts csv_dir =
+    run_experiment opts csv_dir exp;
+    0
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ opts_arg $ csv_dir_arg)
+
+let all_cmd =
+  let doc =
+    "Regenerate every table and figure, deduping identical cells across experiments."
+  in
+  let run opts csv_dir =
+    let t0 = Unix.gettimeofday () in
+    List.iter
+      (fun exp ->
+        run_experiment opts csv_dir exp;
+        print_newline ())
+      H.Paper.experiments;
+    let secs = Unix.gettimeofday () -. t0 in
+    let exec = H.Experiment.exec_of opts in
+    let c = H.Exec.counters exec in
+    let served = c.H.Exec.cache_hits and fresh = c.H.Exec.computed in
+    let pct =
+      if served + fresh = 0 then 0
+      else int_of_float (100.0 *. float_of_int served /. float_of_int (served + fresh))
+    in
+    Printf.eprintf
+      "[mdabench] all: %s total; %d cells (%d computed, %d cache hits, %d deduped); \
+       cache-served=%d%%\n%!"
+      (Mda_util.Stats.duration secs)
+      (served + fresh + c.H.Exec.memo_hits)
+      fresh served c.H.Exec.memo_hits pct;
+    List.iter
+      (fun (cell, e) -> Printf.eprintf "[mdabench] FAILED %s: %s\n%!" (H.Cell.describe cell) e)
+      (H.Exec.failures exec);
+    if c.H.Exec.failed > 0 then 1 else 0
+  in
+  Cmd.v (Cmd.info "all" ~doc) Term.(const run $ opts_arg $ csv_dir_arg)
+
+(* --- run a single benchmark under one mechanism ------------------------ *)
+
 let run_cmd =
   let doc = "Run one benchmark under one mechanism and print its statistics." in
-  let bench_arg =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"BENCHMARK" ~doc:"e.g. 410.bwaves (or --program FILE.asm)")
-  in
   let mech_arg = mechanism_arg ~doc:(String.concat " | " (List.map fst Spec.run_labels)) in
   let threshold_arg =
     Arg.(value & opt int 50 & info [ "threshold" ] ~docv:"N" ~doc:"heating threshold")
@@ -290,16 +340,7 @@ let run_cmd =
     let doc = "Corrupt the code-cache site map before checking (testing aid)." in
     Arg.(value & flag & info [ "corrupt-cache" ] ~doc)
   in
-  let trace_out_arg =
-    let doc =
-      "Also write the run's complete event trace as JSONL to $(docv). Tracing is a pure \
-       observation artifact: stdout is byte-identical with and without this flag."
-    in
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-  in
-  let run bench program mech scale threshold selfcheck validate corrupt trace_out rules_file =
-    let name = workload_name ~cmd:"run" bench program in
-    let rules = load_rules rules_file in
+  let run name mech scale threshold selfcheck validate corrupt trace rules =
     match mech with
     | Spec.Interp { native } ->
       let s, _ = H.Experiment.run_interp ~scale ~native name in
@@ -311,20 +352,11 @@ let run_cmd =
         Format.printf "validate: nothing to check (no code cache in %s mode)@." mode;
       0
     | Spec.Mech spec ->
-      let sink = Option.map (fun _ -> Mda_obs.Trace.create ()) trace_out in
       let stats, t, _ =
-        H.Experiment.run_spec_rt ~scale ?sink ?rules (Spec.with_heating threshold spec) name
+        H.Experiment.run_spec_rt ~scale ?sink:(Option.map snd trace) ?rules
+          (Spec.with_heating threshold spec) name
       in
-      (match (trace_out, sink) with
-      | Some file, Some s ->
-        let jsonl =
-          Mda_obs.Trace.to_jsonl ~mechanism:(Spec.print_run mech) ~bench:name ~scale ~stats s
-        in
-        let oc = open_out file in
-        output_string oc jsonl;
-        close_out oc;
-        Printf.eprintf "[mdabench] wrote %s (%d events)\n%!" file (Mda_obs.Trace.length s)
-      | _ -> ());
+      Option.iter (write_trace ~mechanism:(Spec.print_run mech) ~bench:name ~scale ~stats) trace;
       Format.printf "%a@." Bt.Run_stats.pp stats;
       (match rules with
       | None -> ()
@@ -341,42 +373,18 @@ let run_cmd =
             op =
               { Mda_host.Mda_seq.kind = `Load; data = 0; base = 0; disp = 0; width = 4;
                 signed = false } };
-      let self_rc =
-        if selfcheck then begin
-          let report = Mda_analysis.Check.run cache in
-          Format.printf "%a@." Mda_analysis.Check.pp_report report;
-          if Mda_analysis.Check.ok report then 0 else 2
-        end
-        else 0
-      in
-      let validate_rc =
-        if validate then begin
-          let v = Mda_analysis.Validator.run ~cache ~block_of:(Bt.Runtime.guest_block t) in
-          Format.printf "%a@." Mda_analysis.Validator.pp_report v;
-          if Mda_analysis.Validator.ok v then 0 else 2
-        end
-        else 0
-      in
-      ignore stats;
-      max self_rc validate_rc
+      report_checks
+        ((if selfcheck then [ `Selfcheck ] else []) @ if validate then [ `Validate ] else [])
+        t
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ bench_arg $ program_arg $ mech_arg $ scale_arg $ threshold_arg
-      $ selfcheck_arg $ validate_arg $ corrupt_arg $ trace_out_arg $ rules_arg)
+      const run
+      $ required_workload_arg ~cmd:"run" "e.g. 410.bwaves (or --program FILE.asm)"
+      $ mech_arg $ scale_arg () $ threshold_arg $ selfcheck_arg $ validate_arg $ corrupt_arg
+      $ trace_out_arg $ rules_arg)
 
 (* --- analyze: dump the static congruence census ------------------------ *)
-
-module A = Mda_analysis
-
-let analysis_mode_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "inter" | "interprocedural" -> Ok A.Dataflow.Interprocedural
-    | "intra" | "intraprocedural" -> Ok A.Dataflow.Intraprocedural
-    | _ -> Error (`Msg (Printf.sprintf "unknown analysis mode %S (inter | intra)" s))
-  in
-  Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (A.Dataflow.mode_name m))
 
 let sa_policy_conv =
   let parse s =
@@ -470,18 +478,6 @@ let analyze_cmd =
      no profile. Shows the per-function interprocedural results (call sites, ESP \
      deltas, completeness) and each site's abstract effective address and verdict."
   in
-  let bench_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"BENCHMARK" ~doc:"e.g. 410.bwaves or stack.frames")
-  in
-  let mode_arg =
-    Arg.(
-      value
-      & opt analysis_mode_conv A.Dataflow.Interprocedural
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"inter (whole-program, default) | intra (supergraph baseline)")
-  in
   let compare_arg =
     let doc = "Also run the other engine and print both censuses." in
     Arg.(value & flag & info [ "compare" ] ~doc)
@@ -510,7 +506,10 @@ let analyze_cmd =
     0
   in
   Cmd.v (Cmd.info "analyze" ~doc)
-    Term.(const run $ bench_arg $ scale_arg $ mode_arg $ compare_arg $ max_blocks_arg)
+    Term.(
+      const run
+      $ bench_arg "e.g. 410.bwaves or stack.frames"
+      $ scale_arg () $ mode_arg $ compare_arg $ max_blocks_arg)
 
 (* --- aot: static whole-image translation -------------------------------- *)
 
@@ -520,12 +519,6 @@ let aot_cmd =
      immutable pre-populated code cache with translation disabled, checking the final \
      guest memory against the pure-interpreter oracle. Prints the static-vs-dynamic \
      comparison against the same analysis run as a dynamic Static_analysis mechanism."
-  in
-  let bench_arg =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"BENCHMARK"
-          ~doc:"e.g. 410.bwaves or stack.frames (or --program FILE.asm)")
   in
   let policy_arg =
     Arg.(
@@ -547,15 +540,7 @@ let aot_cmd =
     in
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
-  let mode_arg =
-    Arg.(
-      value
-      & opt analysis_mode_conv A.Dataflow.Interprocedural
-      & info [ "mode" ] ~docv:"MODE" ~doc:"analysis engine: inter (default) | intra")
-  in
-  let run bench program scale unknown census validate mode rules_file =
-    let name = workload_name ~cmd:"aot" bench program in
-    let rules = load_rules rules_file in
+  let run name scale unknown census validate mode rules =
     (* ground truth: a pure-interpreter run over an identical image *)
     let w = W.Workload.instantiate ~scale name in
     let imem = W.Workload.fresh_memory w in
@@ -632,19 +617,14 @@ let aot_cmd =
     else
       Printf.printf "traps: %Ld serviced by OS fixup (unknown sites under eh policy)\n"
         astats.Bt.Run_stats.traps;
-    if validate then begin
-      let v =
-        A.Validator.run ~cache:rt.Bt.Runtime.cache ~block_of:(Bt.Runtime.guest_block rt)
-      in
-      Format.printf "%a@." A.Validator.pp_report v;
-      if not (A.Validator.ok v) then rc := 2
-    end;
-    !rc
+    max !rc (report_checks (if validate then [ `Validate ] else []) rt)
   in
   Cmd.v (Cmd.info "aot" ~doc)
     Term.(
-      const run $ bench_arg $ program_arg $ scale_arg $ policy_arg $ census_arg
-      $ validate_arg $ mode_arg $ rules_arg)
+      const run
+      $ required_workload_arg ~cmd:"aot"
+          "e.g. 410.bwaves or stack.frames (or --program FILE.asm)"
+      $ scale_arg () $ policy_arg $ census_arg $ validate_arg $ mode_arg $ rules_arg)
 
 (* --- verify: translation-validate every mechanism ---------------------- *)
 
@@ -662,16 +642,6 @@ let verify_cmd =
     in
     Arg.(value & opt (some Spec.run_conv) None & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc)
   in
-  let bench_arg =
-    let doc =
-      "Comma-separated benchmarks to replay (default: the first selected benchmark)."
-    in
-    Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"NAMES" ~doc)
-  in
-  let scale_arg =
-    let doc = "Workload volume multiplier for the replayed runs." in
-    Arg.(value & opt float 0.05 & info [ "scale" ] ~docv:"FACTOR" ~doc)
-  in
   (* The validator needs the live cache a run leaves behind, so each
      (mechanism, benchmark) cell re-executes the benchmark, then checks.
      Workers return only printable strings — the cache itself does not
@@ -681,24 +651,11 @@ let verify_cmd =
        cell may run in a forked worker *)
     let rules = Option.map P.activate plain_rules in
     let _stats, t, _ = H.Experiment.run_spec_rt ~scale ?rules spec name in
-    let cache = t.Bt.Runtime.cache in
-    let v = Mda_analysis.Validator.run ~cache ~block_of:(Bt.Runtime.guest_block t) in
-    let bailouts = Mda_analysis.Validator.budget_bailouts v in
-    (* the observation lands in the run's counter registry too, so any
-       consumer reading the registry sees proof-coverage gaps *)
-    Bt.Counters.addi t.Bt.Runtime.counters Bt.Counters.Validator_bailouts bailouts;
-    let c = Mda_analysis.Check.run cache in
-    ( name,
-      Spec.print_run (Spec.Mech spec),
-      Mda_analysis.Validator.ok v,
-      Format.asprintf "%a" Mda_analysis.Validator.pp_report v,
-      Mda_analysis.Check.ok c,
-      Format.asprintf "%a" Mda_analysis.Check.pp_report c,
-      bailouts )
+    (name, Spec.print_run (Spec.Mech spec), check_cache [ `Validate; `Selfcheck ] t)
   in
-  let run mech bench program scale jobs rules_file =
-    (* load (and well-formedness check) once; ship plain data to workers *)
-    let plain_rules = Option.map P.rules (load_rules rules_file) in
+  let run mech benchmarks program scale jobs rules =
+    (* loaded (and well-formedness checked) once; plain data goes to workers *)
+    let plain_rules = Option.map P.rules rules in
     let mechanisms =
       match mech with
       | None ->
@@ -713,17 +670,7 @@ let verify_cmd =
         exit 1
       | Some (Spec.Mech spec) -> [ spec ]
     in
-    let benches =
-      let named =
-        match bench with
-        | Some s -> String.split_on_char ',' s |> List.map String.trim
-        | None -> []
-      in
-      match (named, program) with
-      | [], None -> [ List.hd W.Spec.selected_names ]
-      | named, None -> named
-      | named, Some p -> named @ [ p ]
-    in
+    let benches = targets ~default:[ List.hd W.Spec.selected_names ] benchmarks program in
     let cells =
       List.concat_map (fun b -> List.map (fun m -> (b, m)) mechanisms) benches
     in
@@ -736,10 +683,11 @@ let verify_cmd =
         | Error e ->
           Printf.printf "verify worker FAILED: %s\n" e;
           rc := 1
-        | Ok (bench, mname, v_ok, v_text, c_ok, c_text, cell_bailouts) ->
-          Printf.printf "=== %s / %s ===\n%s\n%s\n" bench mname v_text c_text;
+        | Ok (bench, mname, (texts, ok, cell_bailouts)) ->
+          Printf.printf "=== %s / %s ===\n" bench mname;
+          List.iter print_endline texts;
           bailouts := !bailouts + cell_bailouts;
-          if not (v_ok && c_ok) then rc := 1)
+          if not ok then rc := 1)
       results;
     Printf.printf "validator budget bail-outs: %d across %d cells%s\n" !bailouts
       (List.length cells)
@@ -752,7 +700,12 @@ let verify_cmd =
   in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
-      const run $ mech_arg $ bench_arg $ program_arg $ scale_arg $ jobs_arg $ rules_arg)
+      const run $ mech_arg
+      $ benchmarks_arg
+          "Comma-separated benchmarks to replay (default: the first selected benchmark)."
+      $ program_arg
+      $ scale_arg ~default:0.05 ~doc:"Workload volume multiplier for the replayed runs." ()
+      $ jobs_arg $ rules_arg)
 
 (* --- mine: superoptimize peephole rules out of the workload corpus ----- *)
 
@@ -769,14 +722,6 @@ let mine_cmd =
      scratch (the CI gate); $(b,--explain) pretty-prints one rule; $(b,--kill-check) \
      runs the mutation harness with the tier enabled and gates the kill ratio at 95%."
   in
-  let benchmarks_arg =
-    let doc = "Comma-separated corpus subset (defaults to the paper's 21 selected)." in
-    Arg.(value & opt (some string) None & info [ "benchmarks" ] ~docv:"NAMES" ~doc)
-  in
-  let scale_arg =
-    let doc = "Workload volume multiplier for corpus images (mining is static)." in
-    Arg.(value & opt float 0.05 & info [ "scale" ] ~docv:"FACTOR" ~doc)
-  in
   let budget_arg =
     let doc = "Cap on validator proof attempts across the whole mining run." in
     Arg.(value & opt int 400 & info [ "budget" ] ~docv:"N" ~doc)
@@ -784,10 +729,6 @@ let mine_cmd =
   let max_len_arg =
     let doc = "Longest window (in host instructions) to mine." in
     Arg.(value & opt int 4 & info [ "max-len" ] ~docv:"N" ~doc)
-  in
-  let seed_arg =
-    let doc = "Seed for vocabulary order and concrete screening vectors." in
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc)
   in
   let rules_out_arg =
     let doc =
@@ -861,19 +802,12 @@ let mine_cmd =
       if ratio >= 0.95 then 0 else 1
   in
   let mine benchmarks program scale budget max_len seed rules_out =
-    let names =
-      match (benchmarks, program) with
-      | None, None -> W.Spec.selected_names
-      | None, Some p -> [ p ]
-      | Some s, p ->
-        (String.split_on_char ',' s |> List.map String.trim) @ Option.to_list p
-    in
     let images =
       List.map
         (fun n ->
           let w = W.Workload.instantiate ~scale n in
           (n, W.Workload.fresh_memory w, W.Workload.entry w))
-        names
+        (targets ~default:W.Spec.selected_names benchmarks program)
     in
     let t0 = Unix.gettimeofday () in
     let o = A.Miner.mine ~budget ~max_len ~seed ~images () in
@@ -945,12 +879,16 @@ let mine_cmd =
   in
   Cmd.v (Cmd.info "mine" ~doc)
     Term.(
-      const run $ benchmarks_arg $ program_arg $ scale_arg $ budget_arg $ max_len_arg
-      $ seed_arg $ rules_out_arg $ replay_arg $ explain_arg $ rules_arg $ kill_check_arg)
+      const run
+      $ benchmarks_arg "Comma-separated corpus subset (defaults to the paper's 21 selected)."
+      $ program_arg
+      $ scale_arg ~default:0.05
+          ~doc:"Workload volume multiplier for corpus images (mining is static)." ()
+      $ budget_arg $ max_len_arg
+      $ seed_arg ~default:0 "Seed for vocabulary order and concrete screening vectors."
+      $ rules_out_arg $ replay_arg $ explain_arg $ rules_file_arg $ kill_check_arg)
 
 (* --- trace: structured event tracing with JSONL emit and replay -------- *)
-
-module Obs = Mda_obs
 
 (* Run one benchmark under one mechanism with a trace sink attached;
    returns the sink and the run's stats. Shared by trace/hot. *)
@@ -973,15 +911,7 @@ let trace_cmd =
      reconstructs the run's statistics from the event stream, failing (exit 2) if they \
      disagree with the recorded ones."
   in
-  let bench_arg =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"BENCHMARK" ~doc:"e.g. 410.bwaves (omit with --replay)")
-  in
   let mech_arg = mechanism_arg ~doc:"mechanism to trace" in
-  let limit_arg =
-    Arg.(value & opt int 60 & info [ "limit" ] ~docv:"N" ~doc:"max events to print")
-  in
   let out_arg =
     Arg.(
       value & opt (some string) None
@@ -992,7 +922,7 @@ let trace_cmd =
       Printf.sprintf "only print these event kinds (comma-separated subset of: %s)"
         (String.concat ", " Obs.Trace.kind_names)
     in
-    Arg.(value & opt (some string) None & info [ "filter" ] ~docv:"KINDS" ~doc)
+    names_arg [ "filter" ] ~docv:"KINDS" ~doc
   in
   let replay_arg =
     Arg.(
@@ -1018,40 +948,20 @@ let trace_cmd =
         Format.printf "@.replay OK: event-derived counters match the recorded statistics@.";
         0)
   in
-  let run bench program mech scale limit out filter replay =
-    let bench =
-      match (bench, program) with
-      | Some _, Some _ ->
-        Printf.eprintf "mdabench trace: give either BENCHMARK or --program, not both\n";
-        exit 1
-      | (Some _ as b), None -> b
-      | None, p -> p
-    in
-    match (replay, bench) with
-    | Some file, _ -> replay_file file
-    | None, None ->
+  let run bench mech scale limit out filter replay =
+    let unknown = List.filter (fun k -> not (List.mem k Obs.Trace.kind_names)) filter in
+    match (replay, bench, unknown) with
+    | Some file, _, _ -> replay_file file
+    | None, None, _ ->
       Printf.eprintf "mdabench trace: BENCHMARK required (or --replay FILE)\n";
       1
-    | None, Some name ->
-      let filter_kinds =
-        Option.map
-          (fun s ->
-            let ks = String.split_on_char ',' s |> List.map String.trim in
-            List.iter
-              (fun k ->
-                if not (List.mem k Obs.Trace.kind_names) then begin
-                  Printf.eprintf "mdabench trace: unknown event kind %S\n" k;
-                  exit 1
-                end)
-              ks;
-            ks)
-          filter
-      in
+    | None, Some _, k :: _ ->
+      Printf.eprintf "mdabench trace: unknown event kind %S\n" k;
+      1
+    | None, Some name, [] ->
       let sink, stats, _rt = traced_run name mech scale in
       let records = Obs.Trace.records sink in
-      let shown =
-        match filter_kinds with None -> records | Some ks -> Obs.Trace.filter ks records
-      in
+      let shown = if filter = [] then records else Obs.Trace.filter filter records in
       let printed = ref 0 in
       List.iter
         (fun r ->
@@ -1076,23 +986,19 @@ let trace_cmd =
           if n > 0 then Format.printf "  %-12s %d@." k n)
         Obs.Trace.kind_names;
       Format.printf "@.%a@." Bt.Run_stats.pp stats;
-      (match out with
-      | None -> ()
-      | Some file ->
-        let jsonl =
-          Obs.Trace.to_jsonl ~mechanism:(Spec.print_run mech) ~bench:name ~scale ~stats sink
-        in
-        let oc = open_out file in
-        output_string oc jsonl;
-        close_out oc;
-        Printf.eprintf "[mdabench] wrote %s (%d events, schema v%d)\n%!" file
-          (Obs.Trace.length sink) Obs.Trace.schema_version);
+      Option.iter
+        (fun file ->
+          write_trace ~mechanism:(Spec.print_run mech) ~bench:name ~scale ~stats (file, sink))
+        out;
       0
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ bench_arg $ program_arg $ mech_arg $ scale_arg $ limit_arg $ out_arg
-      $ filter_arg $ replay_arg)
+      const run
+      $ workload_arg ~cmd:"trace" "e.g. 410.bwaves (omit with --replay)"
+      $ mech_arg $ scale_arg ()
+      $ limit_arg ~default:60 "max events to print"
+      $ out_arg $ filter_arg $ replay_arg)
 
 (* --- hot: per-guest-site / per-block attribution ------------------------ *)
 
@@ -1101,11 +1007,6 @@ let hot_cmd =
     "Show the hottest guest sites (traps, patches, OS fixups, attributed MDA cycles) and \
      most-translated blocks of a run — the per-address view behind the paper's locality \
      argument. Reads a saved trace ($(b,--from)) or runs the benchmark."
-  in
-  let bench_arg =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"BENCHMARK" ~doc:"e.g. 410.bwaves (omit with --from)")
   in
   let mech_arg = mechanism_arg ~doc:"mechanism to attribute" in
   let top_arg =
@@ -1159,7 +1060,10 @@ let hot_cmd =
       0
   in
   Cmd.v (Cmd.info "hot" ~doc)
-    Term.(const run $ bench_arg $ mech_arg $ scale_arg $ top_arg $ from_arg)
+    Term.(
+      const run
+      $ bench_opt_arg "e.g. 410.bwaves (omit with --from)"
+      $ mech_arg $ scale_arg () $ top_arg $ from_arg)
 
 (* --- chaos: fault-injection sweep -------------------------------------- *)
 
@@ -1172,9 +1076,6 @@ let chaos_cmd =
      termination. Also exercises harness faults: a worker killed mid-item and a garbled \
      result-cache entry."
   in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"master seed of the plan stream")
-  in
   let plans_arg =
     Arg.(value & opt int 20 & info [ "plans" ] ~docv:"N" ~doc:"number of random fault plans")
   in
@@ -1183,7 +1084,7 @@ let chaos_cmd =
       "Comma-separated mechanism subset (default: all of direct, static-profiling, \
        dynamic-profiling, eh, dpeh, sa, aot; $(b,--serve) excludes aot)."
     in
-    Arg.(value & opt (some string) None & info [ "m"; "mechanisms" ] ~docv:"MECHS" ~doc)
+    names_arg [ "m"; "mechanisms" ] ~docv:"MECHS" ~doc
   in
   let serve_arg =
     let doc =
@@ -1258,11 +1159,7 @@ let chaos_cmd =
   in
   let run seed plans mechs serve inject program jobs =
     let universe = if serve then F.Mt_chaos.mechanism_names else F.Chaos.mechanism_names in
-    let mechs =
-      match mechs with
-      | None -> universe
-      | Some s -> String.split_on_char ',' s |> List.map String.trim
-    in
+    let mechs = if mechs = [] then universe else mechs in
     let t0 = Unix.gettimeofday () in
     let report = report ~serve ?program ~seed ~plans ~mechs ~inject in
     match List.filter (fun m -> not (List.mem m universe)) mechs with
@@ -1314,8 +1211,9 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const run $ seed_arg $ plans_arg $ mechs_arg $ serve_arg $ inject_arg $ program_arg
-      $ jobs_arg)
+      const run
+      $ seed_arg ~default:42 "master seed of the plan stream"
+      $ plans_arg $ mechs_arg $ serve_arg $ inject_arg $ program_arg $ jobs_arg)
 
 (* --- serve: multi-tenant serving front-end ----------------------------- *)
 
@@ -1334,11 +1232,6 @@ let serve_cmd =
   in
   let sessions_arg =
     Arg.(value & opt int 2 & info [ "sessions" ] ~docv:"M" ~doc:"sessions per tenant")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N" ~doc:"derives tenant workloads and the arrival schedule")
   in
   let mech_arg =
     let doc = "Mechanism every tenant runs under (the serving layer excludes aot)." in
@@ -1366,10 +1259,6 @@ let serve_cmd =
     let doc = "Tenant id given a misalignment-heavy trap-storm workload." in
     Arg.(value & opt (some int) None & info [ "storm" ] ~docv:"TID" ~doc)
   in
-  let trace_out_arg =
-    let doc = "Write the session-tagged serve trace as JSONL to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-  in
   let status_string = function
     | None -> "rejected"
     | Some Srv.Session.Running -> "running"
@@ -1381,8 +1270,7 @@ let serve_cmd =
   let pct64 num den =
     if Int64.compare den 0L <= 0 then 0L else Int64.div (Int64.mul 100L num) den
   in
-  let run tenants sessions seed mech capacity max_live slice quota noisy storm trace_out
-      jobs =
+  let run tenants sessions seed mech capacity max_live slice quota noisy storm trace jobs =
     if tenants < 1 || sessions < 1 then begin
       Printf.eprintf "mdabench serve: --tenants and --sessions must be >= 1\n";
       2
@@ -1427,8 +1315,7 @@ let serve_cmd =
           slice_fuel = slice;
           translation_quota = quota }
       in
-      let sink = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
-      let o = Srv.Scheduler.run ?sink ~tenants cfg specs in
+      let o = Srv.Scheduler.run ?sink:(Option.map snd trace) ~tenants cfg specs in
       let r = o.Srv.Scheduler.report in
       (* isolated per-tenant baselines (each tenant's sessions scheduled
          alone, same knobs) fan out over the worker pool; results come
@@ -1516,17 +1403,9 @@ let serve_cmd =
             s.Srv.Scheduler.restarts s.Srv.Scheduler.dispatches
             s.Srv.Scheduler.guest_insns s.Srv.Scheduler.cycles s.Srv.Scheduler.traps)
         r.Srv.Scheduler.sessions;
-      (match (trace_out, sink) with
-      | Some file, Some sink ->
-        let jsonl =
-          Obs.Trace.to_jsonl ~mechanism:mech ~bench:"serve" ~scale:1.0
-            ~stats:o.Srv.Scheduler.agg_stats sink
-        in
-        let oc = open_out file in
-        output_string oc jsonl;
-        close_out oc;
-        Printf.printf "\nwrote %s (%d events)\n" file (List.length (Obs.Trace.records sink))
-      | _ -> ());
+      Option.iter
+        (write_trace ~mechanism:mech ~bench:"serve" ~scale:1.0 ~stats:o.Srv.Scheduler.agg_stats)
+        trace;
       Printf.eprintf "[mdabench] serve: %s\n%!"
         (Mda_util.Stats.duration (Unix.gettimeofday () -. t0));
       0
@@ -1534,9 +1413,10 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ tenants_arg $ sessions_arg $ seed_arg $ mech_arg $ capacity_arg
-      $ max_live_arg $ slice_arg $ quota_arg $ noisy_arg $ storm_arg $ trace_out_arg
-      $ jobs_arg)
+      const run $ tenants_arg $ sessions_arg
+      $ seed_arg ~default:42 "derives tenant workloads and the arrival schedule"
+      $ mech_arg $ capacity_arg $ max_live_arg $ slice_arg $ quota_arg $ noisy_arg $ storm_arg
+      $ trace_out_arg $ jobs_arg)
 
 let list_cmd =
   let doc = "List the experiments, utility commands and modelled benchmarks (Table I rows)." in
@@ -1544,7 +1424,7 @@ let list_cmd =
     Printf.printf "experiments:\n";
     List.iter
       (fun (name, desc, _) -> Printf.printf "  %-16s %s\n" name desc)
-      experiments;
+      H.Paper.experiments;
     Printf.printf "\ncommands:\n";
     List.iter
       (fun (name, desc) -> Printf.printf "  %-16s %s\n" name desc)
@@ -1579,9 +1459,6 @@ let list_cmd =
 
 let info_cmd =
   let doc = "Describe how a benchmark is synthesized (groups, behaviours, volumes)." in
-  let bench_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc:"e.g. 410.bwaves")
-  in
   let run name scale =
     let w = W.Workload.instantiate ~scale name in
     let row = W.Workload.paper_row w in
@@ -1619,21 +1496,13 @@ let info_cmd =
       w.W.Workload.program.W.Gen.groups;
     0
   in
-  Cmd.v (Cmd.info "info" ~doc) Term.(const run $ bench_arg $ scale_arg)
+  Cmd.v (Cmd.info "info" ~doc) Term.(const run $ bench_arg "e.g. 410.bwaves" $ scale_arg ())
 
 let disasm_cmd =
   let doc =
     "Decode a benchmark's encoded guest image back to text. The listing comes from the \
      binary decoder, not from the instruction list the assembler kept, so every line \
      also witnesses one decode(encode(i)) = i roundtrip."
-  in
-  let bench_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"BENCHMARK" ~doc:"e.g. 470.lbm or FILE.asm")
-  in
-  let limit_arg =
-    Arg.(value & opt int 80 & info [ "limit" ] ~docv:"N" ~doc:"max instructions to print")
   in
   let run name scale limit =
     let w = W.Workload.instantiate ~scale name in
@@ -1656,17 +1525,16 @@ let disasm_cmd =
       if n > limit then Printf.printf "... (%d more)\n" (n - limit);
       0
   in
-  Cmd.v (Cmd.info "disasm" ~doc) Term.(const run $ bench_arg $ scale_arg $ limit_arg)
+  Cmd.v (Cmd.info "disasm" ~doc)
+    Term.(
+      const run
+      $ bench_arg "e.g. 470.lbm or FILE.asm"
+      $ scale_arg ()
+      $ limit_arg ~default:80 "max instructions to print")
 
 let disasm_host_cmd =
   let doc =
     "Translate a benchmark's first blocks and show the generated host (alphalite) code."
-  in
-  let bench_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc:"e.g. 470.lbm")
-  in
-  let limit_arg =
-    Arg.(value & opt int 60 & info [ "limit" ] ~docv:"N" ~doc:"max host instructions")
   in
   let policy_arg =
     let policy_conv =
@@ -1715,7 +1583,10 @@ let disasm_host_cmd =
     0
   in
   Cmd.v (Cmd.info "disasm-host" ~doc)
-    Term.(const run $ bench_arg $ scale_arg $ limit_arg $ policy_arg)
+    Term.(
+      const run $ bench_arg "e.g. 470.lbm" $ scale_arg ()
+      $ limit_arg ~default:60 "max host instructions"
+      $ policy_arg)
 
 (* --- asm: assemble a hand-written workload ------------------------------ *)
 
@@ -1731,12 +1602,6 @@ let asm_cmd =
   let listing_arg =
     let doc = "Also print the assembled program as a disassembly listing." in
     Arg.(value & flag & info [ "listing" ] ~doc)
-  in
-  let mode_arg =
-    Arg.(
-      value
-      & opt analysis_mode_conv A.Dataflow.Interprocedural
-      & info [ "mode" ] ~docv:"MODE" ~doc:"analysis engine: inter (default) | intra")
   in
   let run file listing mode =
     let text =
@@ -1812,9 +1677,6 @@ let fuzz_asm_cmd =
   let len_arg =
     Arg.(value & opt int 32 & info [ "len" ] ~docv:"N" ~doc:"max instructions per stream")
   in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"generator seed")
-  in
   let repro_arg =
     Arg.(
       value
@@ -1853,13 +1715,15 @@ let fuzz_asm_cmd =
       1
   in
   Cmd.v (Cmd.info "fuzz-asm" ~doc)
-    Term.(const run $ isa_arg $ streams_arg $ len_arg $ seed_arg $ repro_arg)
+    Term.(
+      const run $ isa_arg $ streams_arg $ len_arg $ seed_arg ~default:42 "generator seed"
+      $ repro_arg)
 
 let () =
   let doc = "reproduction of the CGO'09 MDA-handling evaluation" in
   let info = Cmd.info "mdabench" ~version:"1.0.0" ~doc in
   let cmds =
-    List.map experiment_cmd experiments
+    List.map experiment_cmd H.Paper.experiments
     @ [ all_cmd; run_cmd; analyze_cmd; aot_cmd; verify_cmd; mine_cmd; chaos_cmd;
         serve_cmd; trace_cmd; hot_cmd; list_cmd; info_cmd; asm_cmd; fuzz_asm_cmd;
         disasm_cmd; disasm_host_cmd ]

@@ -86,8 +86,8 @@ let test_hot_command () =
   check_rc (Printf.sprintf "hot %s -m interp" bench) 1
 
 let test_trace_out_does_not_change_stdout () =
-  (* the ci.sh gate in miniature: run with and without --trace-out and
-     require byte-identical stdout *)
+  (* the ci.sh gate in miniature: run each command with and without
+     --trace-out and require byte-identical stdout *)
   let tmp suffix =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "mda_cli_%s_%d" suffix (Unix.getpid ()))
@@ -97,19 +97,21 @@ let test_trace_out_does_not_change_stdout () =
     ~finally:(fun () ->
       List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out_a; out_b; trace ])
   @@ fun () ->
-  let rc_a =
-    Sys.command (Printf.sprintf "%s run %s -m eh --scale 0.05 > %s 2>/dev/null" exe bench out_a)
-  in
-  let rc_b =
-    Sys.command
-      (Printf.sprintf "%s run %s -m eh --scale 0.05 --trace-out %s > %s 2>/dev/null" exe
-         bench trace out_b)
-  in
-  Alcotest.(check int) "plain run exits 0" 0 rc_a;
-  Alcotest.(check int) "traced run exits 0" 0 rc_b;
-  Alcotest.(check string) "stdout byte-identical with --trace-out" (slurp out_a)
-    (slurp out_b);
-  Alcotest.(check bool) "trace artifact written" true (Sys.file_exists trace)
+  List.iter
+    (fun args ->
+      let rc_a = Sys.command (Printf.sprintf "%s %s > %s 2>/dev/null" exe args out_a) in
+      let rc_b =
+        Sys.command
+          (Printf.sprintf "%s %s --trace-out %s > %s 2>/dev/null" exe args trace out_b)
+      in
+      Alcotest.(check int) (args ^ " exits 0") 0 rc_a;
+      Alcotest.(check int) (args ^ " --trace-out exits 0") 0 rc_b;
+      Alcotest.(check string) (args ^ ": stdout byte-identical with --trace-out")
+        (slurp out_a) (slurp out_b);
+      Alcotest.(check bool) (args ^ ": trace artifact written") true (Sys.file_exists trace);
+      Sys.remove trace)
+    [ Printf.sprintf "run %s -m eh --scale 0.05" bench;
+      "serve --tenants 3 --sessions 2 --seed 42" ]
 
 (* --- chaos failure UX and the serve front-end -------------------------- *)
 
@@ -174,6 +176,52 @@ let test_chaos_failure_reproducer () =
        (slurp out));
   (* serve mode runs generated tenants only: --program is refused, not ignored *)
   check_rc "chaos --serve --program missing.asm" 2
+
+(* a non-finite or non-positive --scale is a usage error, not a
+   degenerate workload *)
+let test_scale_rejects_nonsense () =
+  let err = tmp_file "scale_err.txt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ()) @@ fun () ->
+  List.iter
+    (fun args ->
+      let rc = Sys.command (Printf.sprintf "%s %s > /dev/null 2> %s" exe args err) in
+      Alcotest.(check bool) (args ^ " exits non-zero") true (rc <> 0);
+      Alcotest.(check bool) (args ^ ": no uncaught exception") false
+        (contains ~needle:"Fatal error" (slurp err)))
+    [ "run 164.gzip --scale nan";
+      "table1 --scale inf";
+      "run 164.gzip --scale=-1";
+      "run 164.gzip --scale=0" ]
+
+(* Cmdliner rejects a repeated option name in a composed term only when
+   that command is evaluated, so every subcommand's help must render. *)
+let test_every_help_renders () =
+  let out = tmp_file "help.txt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ()) @@ fun () ->
+  Alcotest.(check int) "mdabench --help=plain" 0
+    (Sys.command (Printf.sprintf "%s --help=plain > %s" exe out));
+  (* in the COMMANDS section, each subcommand's synopsis starts with its
+     lower-case name at a 7-space indent *)
+  let rec section = function
+    | "COMMANDS" :: rest -> rest
+    | _ :: rest -> section rest
+    | [] -> []
+  in
+  let rec commands = function
+    | line :: rest when line = "" || line.[0] = ' ' ->
+      let named =
+        String.starts_with ~prefix:"       " line && line.[7] >= 'a' && line.[7] <= 'z'
+      in
+      (if named then [ List.hd (String.split_on_char ' ' (String.trim line)) ] else [])
+      @ commands rest
+    | _ -> []
+  in
+  let commands = commands (section (String.split_on_char '\n' (slurp out))) in
+  List.iter
+    (fun (name, _, _) ->
+      Alcotest.(check bool) (name ^ " listed") true (List.mem name commands))
+    Mda_harness.Paper.experiments;
+  List.iter (fun c -> check_rc (c ^ " --help=plain") 0) commands
 
 let test_serve_command () =
   (* the aggregate serve report is byte-identical across --jobs levels,
@@ -296,6 +344,9 @@ let suite =
       Alcotest.test_case "chaos failures print a reproducer" `Quick
         test_chaos_failure_reproducer;
       Alcotest.test_case "serve report is jobs-invariant" `Quick test_serve_command;
+      Alcotest.test_case "--scale rejects non-finite and non-positive values" `Quick
+        test_scale_rejects_nonsense;
+      Alcotest.test_case "every subcommand's help renders" `Quick test_every_help_renders;
       Alcotest.test_case "mine --replay and --explain" `Quick test_mine_replay_and_explain;
       Alcotest.test_case "mine --replay rejects unprovable rules" `Quick
         test_mine_replay_rejects_unprovable;

@@ -10,30 +10,16 @@ let small_opts =
     benchmarks = [ "164.gzip"; "410.bwaves"; "188.ammp" ];
     exec = None }
 
-let experiments :
-    (string * (?opts:H.Experiment.options -> unit -> H.Experiment.rendered)) list =
-  [ ("table1", H.Table1.run);
-    ("table2", H.Table2.run);
-    ("table3", H.Table3.run);
-    ("table4", H.Table4.run);
-    ("fig1", H.Fig1.run);
-    ("fig10", H.Fig10.run);
-    ("fig11", H.Fig11.run);
-    ("fig12", H.Fig12.run);
-    ("fig13", H.Fig13.run);
-    ("fig14", H.Fig14.run);
-    ("fig15", H.Fig15.run);
-    ("fig16", H.Fig16.run) ]
-
+(* every runner of [mdabench all], in its order *)
 let test_all_experiments_run () =
   List.iter
-    (fun ((name, run) : string * (?opts:H.Experiment.options -> unit -> H.Experiment.rendered)) ->
+    (fun (name, _, (run : H.Paper.runner)) ->
       let rendered = run ~opts:small_opts () in
       let text = H.Experiment.render rendered in
       Alcotest.(check bool) (name ^ " produced output") true (String.length text > 0);
       let csv = H.Experiment.to_csv rendered in
       Alcotest.(check bool) (name ^ " produced CSV") true (String.length csv > 0))
-    experiments
+    H.Paper.experiments
 
 let row_count rendered = List.length (Mda_util.Tabular.rows rendered.H.Experiment.table)
 
