@@ -9,6 +9,10 @@ set -e
 
 cd "$(dirname "$0")/.."
 
+# every step's scratch files live under one directory, removed on any exit
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+
 echo "== dune build"
 dune build
 
@@ -54,30 +58,14 @@ dune exec bin/mdabench.exe -- verify --scale 0.05 --jobs 2 \
   --rules rules/pr8.rules >/dev/null || {
   echo "FAIL: verify gate with peephole tier"; exit 1; }
 
-echo "== translation fast-path perf gate (speedup + throughput vs committed point)"
-# re-measure part 6 (the single-pass emitter vs the frozen reference)
-# into a scratch json and gate against the committed trajectory point;
-# the speedup is an interleaved-round ratio, so it is stable under
-# machine load — but not across machine generations (a host whose
-# branch predictor likes the reference emitter's list traversal
-# compresses the ratio with zero change to the fast path), so both
-# figures gate against the committed point with tolerance instead of
-# an absolute floor
-PERF_DIR=$(mktemp -d)
-MDA_BENCH_SKIP_MEASURE=1 MDA_BENCH_PART=pr9 MDA_BENCH_PR9_JSON="$PERF_DIR/pr9.json" \
-  dune exec bench/main.exe || { echo "FAIL: perf bench run"; exit 1; }
-NEW_RATE=$(sed -n 's/.*"translations_per_sec": \([0-9.]*\).*/\1/p' "$PERF_DIR/pr9.json")
-OLD_RATE=$(sed -n 's/.*"translations_per_sec": \([0-9.]*\).*/\1/p' BENCH_pr9.json)
-SPEEDUP=$(sed -n 's/.*"speedup_vs_reference": \([0-9.]*\).*/\1/p' "$PERF_DIR/pr9.json")
-OLD_SPEEDUP=$(sed -n 's/.*"speedup_vs_reference": \([0-9.]*\).*/\1/p' BENCH_pr9.json)
-rm -rf "$PERF_DIR"
-[ -n "$NEW_RATE" ] && [ -n "$OLD_RATE" ] && [ -n "$SPEEDUP" ] && [ -n "$OLD_SPEEDUP" ] || {
-  echo "FAIL: could not read translation rates from BENCH_pr9.json"; exit 1; }
-awk -v new="$NEW_RATE" -v old="$OLD_RATE" 'BEGIN { exit !(new >= 0.7 * old) }' || {
-  echo "FAIL: translations/sec regressed >30%: $NEW_RATE vs committed $OLD_RATE"; exit 1; }
-awk -v s="$SPEEDUP" -v old="$OLD_SPEEDUP" 'BEGIN { exit !(s >= 0.8 * old) }' || {
-  echo "FAIL: fast-path speedup ${SPEEDUP}x < 80% of committed ${OLD_SPEEDUP}x"; exit 1; }
-echo "fast path: $NEW_RATE tr/s (committed $OLD_RATE), speedup ${SPEEDUP}x (committed ${OLD_SPEEDUP}x)"
+echo "== benchmark suite: translate-corpus and serve-mix, every oracle check"
+# exit 0 means every check passed and every end-to-end metric was
+# measured; the figures are printed, not gated — one run cannot tell a
+# regression from host noise, so regressions are judged by the
+# multi-pair `suite.exe compare` that bench/suite/README.md describes
+dune exec bench/suite/suite.exe -- --workload translate-corpus \
+  --workload serve-mix --out "$WORK/suite.json" || {
+  echo "FAIL: benchmark suite (failed check or missing metric)"; exit 1; }
 
 echo "== AOT gate: oracle differential + validator, both unknown-site policies"
 # `mdabench aot` checks the static translation of the whole image
@@ -99,35 +87,33 @@ for B in $TABLE1 stack.frames; do
 done
 
 echo "== AOT gate: census deterministic, verify byte-identical across --jobs"
-AOT_DIR=$(mktemp -d)
-dune exec bin/mdabench.exe -- analyze 164.gzip --compare >"$AOT_DIR/census1.txt" 2>/dev/null
-dune exec bin/mdabench.exe -- analyze 164.gzip --compare >"$AOT_DIR/census2.txt" 2>/dev/null
-cmp "$AOT_DIR/census1.txt" "$AOT_DIR/census2.txt" || {
+mkdir "$WORK/aot"
+dune exec bin/mdabench.exe -- analyze 164.gzip --compare >"$WORK/aot/census1.txt" 2>/dev/null
+dune exec bin/mdabench.exe -- analyze 164.gzip --compare >"$WORK/aot/census2.txt" 2>/dev/null
+cmp "$WORK/aot/census1.txt" "$WORK/aot/census2.txt" || {
   echo "FAIL: mdabench analyze output is not deterministic"; exit 1; }
 dune exec bin/mdabench.exe -- verify -m aot --scale 0.05 --jobs 1 \
-  --bench 164.gzip,410.bwaves,stack.frames >"$AOT_DIR/verify-j1.txt" 2>/dev/null
+  --benchmarks 164.gzip,410.bwaves,stack.frames >"$WORK/aot/verify-j1.txt" 2>/dev/null
 dune exec bin/mdabench.exe -- verify -m aot --scale 0.05 --jobs 4 \
-  --bench 164.gzip,410.bwaves,stack.frames >"$AOT_DIR/verify-j4.txt" 2>/dev/null
-cmp "$AOT_DIR/verify-j1.txt" "$AOT_DIR/verify-j4.txt" || {
+  --benchmarks 164.gzip,410.bwaves,stack.frames >"$WORK/aot/verify-j4.txt" 2>/dev/null
+cmp "$WORK/aot/verify-j1.txt" "$WORK/aot/verify-j4.txt" || {
   echo "FAIL: aot verify output differs across --jobs levels"; exit 1; }
-rm -rf "$AOT_DIR"
 
 echo "== tracing gate: zero-cost-when-off, replay reconstructs every mechanism"
-TRACE_DIR=$(mktemp -d)
-trap 'rm -rf "$TRACE_DIR"' EXIT
+mkdir "$WORK/trace"
 # tracing is a pure observation artifact: stdout (statistics included)
 # must be byte-identical with and without --trace-out
 dune exec bin/mdabench.exe -- run 410.bwaves -m eh --scale 0.05 \
-  >"$TRACE_DIR/plain.txt" 2>/dev/null
+  >"$WORK/trace/plain.txt" 2>/dev/null
 dune exec bin/mdabench.exe -- run 410.bwaves -m eh --scale 0.05 \
-  --trace-out "$TRACE_DIR/run.jsonl" >"$TRACE_DIR/traced.txt" 2>/dev/null
-cmp "$TRACE_DIR/plain.txt" "$TRACE_DIR/traced.txt" || {
+  --trace-out "$WORK/trace/run.jsonl" >"$WORK/trace/traced.txt" 2>/dev/null
+cmp "$WORK/trace/plain.txt" "$WORK/trace/traced.txt" || {
   echo "FAIL: --trace-out changed the run's stdout"; exit 1; }
 # every mechanism's trace must replay to the exact recorded statistics
 for MECH in direct static dynamic eh dpeh sa aot; do
   dune exec bin/mdabench.exe -- trace 410.bwaves -m "$MECH" --scale 0.05 \
-    --out "$TRACE_DIR/$MECH.jsonl" >/dev/null 2>&1
-  dune exec bin/mdabench.exe -- trace --replay "$TRACE_DIR/$MECH.jsonl" >/dev/null || {
+    --out "$WORK/trace/$MECH.jsonl" >/dev/null 2>&1
+  dune exec bin/mdabench.exe -- trace --replay "$WORK/trace/$MECH.jsonl" >/dev/null || {
     echo "FAIL: replay gate failed for $MECH"; exit 1; }
 done
 dune exec bin/mdabench.exe -- hot 410.bwaves -m eh --scale 0.05 --top 5 >/dev/null
@@ -137,41 +123,27 @@ dune exec bin/mdabench.exe -- chaos --seed 42 --plans 20 --jobs 2 >/dev/null || 
   echo "FAIL: chaos gate"; exit 1; }
 
 echo "== serve gate: report jobs-invariant, 10-plan serve chaos battery"
-SERVE_DIR=$(mktemp -d)
-trap 'rm -rf "$TRACE_DIR" "$SERVE_DIR"' EXIT
+mkdir "$WORK/serve"
 # the aggregate multi-tenant report is a pure function of (specs,
 # config): fanning the isolated baselines over more workers must not
 # move a byte of it
 dune exec bin/mdabench.exe -- serve --tenants 3 --sessions 2 --seed 42 \
-  --storm 2 --noisy 1 --jobs 1 >"$SERVE_DIR/serve-j1.txt" 2>/dev/null
+  --storm 2 --noisy 1 --jobs 1 >"$WORK/serve/serve-j1.txt" 2>/dev/null
 dune exec bin/mdabench.exe -- serve --tenants 3 --sessions 2 --seed 42 \
-  --storm 2 --noisy 1 --jobs 3 >"$SERVE_DIR/serve-j3.txt" 2>/dev/null
-cmp "$SERVE_DIR/serve-j1.txt" "$SERVE_DIR/serve-j3.txt" || {
+  --storm 2 --noisy 1 --jobs 3 >"$WORK/serve/serve-j3.txt" 2>/dev/null
+cmp "$WORK/serve/serve-j1.txt" "$WORK/serve/serve-j3.txt" || {
   echo "FAIL: serve report differs across --jobs levels"; exit 1; }
 # tenant churn, injected crashes, noisy neighbours and trap storms under
 # every non-AOT mechanism, against per-tenant pure-interpreter oracles
 dune exec bin/mdabench.exe -- chaos --serve --seed 42 --plans 10 --jobs 2 >/dev/null || {
   echo "FAIL: serve chaos gate"; exit 1; }
 
-echo "== serve perf part (BENCH_pr10.json: sessions/sec, steps/sec, restart latency)"
-MDA_BENCH_SKIP_MEASURE=1 MDA_BENCH_PART=pr10 \
-  MDA_BENCH_PR10_JSON="$SERVE_DIR/pr10.json" \
-  dune exec bench/main.exe || { echo "FAIL: serve perf bench run"; exit 1; }
-SESS_RATE=$(sed -n 's/.*"sessions_per_sec": \([0-9.]*\).*/\1/p' "$SERVE_DIR/pr10.json")
-STEP_RATE=$(sed -n 's/.*"steps_per_sec": \([0-9.]*\).*/\1/p' "$SERVE_DIR/pr10.json")
-RESTART_NS=$(sed -n 's/.*"median_ns_per_restart": \([0-9.]*\).*/\1/p' "$SERVE_DIR/pr10.json")
-[ -n "$SESS_RATE" ] && [ -n "$STEP_RATE" ] && [ -n "$RESTART_NS" ] || {
-  echo "FAIL: could not read serve rates from pr10.json"; exit 1; }
-echo "serve: $SESS_RATE sessions/s, $STEP_RATE steps/s, restart ${RESTART_NS}ns"
-rm -rf "$SERVE_DIR"
-
 echo "== assembler gate: roundtrip fuzz, examples through every runner"
-ASM_DIR=$(mktemp -d)
-trap 'rm -rf "$TRACE_DIR" "$BOUND_DIR" "$ASM_DIR"' EXIT
+mkdir "$WORK/asm"
 # 10k seeded streams per ISA through insn -> pretty -> parse -> encode
 # -> decode -> insn; any mismatch writes a minimised reproducer and fails
 dune exec bin/mdabench.exe -- fuzz-asm --seed 7 --streams 10000 \
-  --repro-out "$ASM_DIR/repro.asm" || {
+  --repro-out "$WORK/asm/repro.asm" || {
   echo "FAIL: fuzz-asm found a roundtrip mismatch"; exit 1; }
 # the committed examples assemble, decode back byte-identically, and the
 # tour listing matches its golden disassembly
@@ -180,8 +152,8 @@ dune exec bin/mdabench.exe -- asm examples/asm/tour.asm >/dev/null || {
 dune exec bin/mdabench.exe -- asm examples/asm/stack.asm >/dev/null || {
   echo "FAIL: stack.asm does not assemble"; exit 1; }
 dune exec bin/mdabench.exe -- disasm examples/asm/tour.asm 2>/dev/null \
-  | tail -n +2 >"$ASM_DIR/tour-disasm.txt"
-cmp "$ASM_DIR/tour-disasm.txt" test/golden/disasm-tour.txt || {
+  | tail -n +2 >"$WORK/asm/tour-disasm.txt"
+cmp "$WORK/asm/tour-disasm.txt" test/golden/disasm-tour.txt || {
   echo "FAIL: tour.asm disassembly differs from test/golden/disasm-tour.txt"; exit 1; }
 # a hand-written workload flows through every runner against the oracle
 dune exec bin/mdabench.exe -- run examples/asm/tour.asm -m eh \
@@ -196,35 +168,32 @@ dune exec bin/mdabench.exe -- chaos --program examples/asm/tour.asm \
   echo "FAIL: chaos gate (tour.asm)"; exit 1; }
 
 echo "== bounded-cache table1 is byte-identical to the unbounded run"
-BOUND_DIR=$(mktemp -d)
-trap 'rm -rf "$TRACE_DIR" "$ASM_DIR" "$BOUND_DIR"' EXIT
+mkdir "$WORK/bound"
 # table1 is interpreter ground truth: a code-cache bound on the
 # translator must not move a single byte of it
 dune exec bin/mdabench.exe -- table1 --scale 0.05 --no-cache \
-  --benchmarks 164.gzip,410.bwaves >"$BOUND_DIR/unbounded.txt" 2>/dev/null
+  --benchmarks 164.gzip,410.bwaves >"$WORK/bound/unbounded.txt" 2>/dev/null
 dune exec bin/mdabench.exe -- table1 --scale 0.05 --no-cache \
-  --benchmarks 164.gzip,410.bwaves --cache-capacity 64 >"$BOUND_DIR/bounded.txt" 2>/dev/null
-cmp "$BOUND_DIR/unbounded.txt" "$BOUND_DIR/bounded.txt" || {
+  --benchmarks 164.gzip,410.bwaves --cache-capacity 64 >"$WORK/bound/bounded.txt" 2>/dev/null
+cmp "$WORK/bound/unbounded.txt" "$WORK/bound/bounded.txt" || {
   echo "FAIL: --cache-capacity changed table1's stdout"; exit 1; }
 
 echo "== parallel 'all' smoke run with result cache (scale 0.05)"
-CACHE_DIR=$(mktemp -d)
-OUT_DIR=$(mktemp -d)
-trap 'rm -rf "$TRACE_DIR" "$ASM_DIR" "$BOUND_DIR" "$CACHE_DIR" "$OUT_DIR"' EXIT
+mkdir "$WORK/cache" "$WORK/all"
 dune exec bin/mdabench.exe -- all --jobs 2 --scale 0.05 \
   --benchmarks 164.gzip,410.bwaves,188.ammp \
-  --cache-dir "$CACHE_DIR" >"$OUT_DIR/cold.txt" 2>"$OUT_DIR/cold.err"
+  --cache-dir "$WORK/cache" >"$WORK/all/cold.txt" 2>"$WORK/all/cold.err"
 dune exec bin/mdabench.exe -- all --jobs 2 --scale 0.05 \
   --benchmarks 164.gzip,410.bwaves,188.ammp \
-  --cache-dir "$CACHE_DIR" >"$OUT_DIR/warm.txt" 2>"$OUT_DIR/warm.err"
+  --cache-dir "$WORK/cache" >"$WORK/all/warm.txt" 2>"$WORK/all/warm.err"
 
 echo "== cached re-run serves >= 90% from cache and is byte-identical"
-cmp "$OUT_DIR/cold.txt" "$OUT_DIR/warm.txt" || {
+cmp "$WORK/all/cold.txt" "$WORK/all/warm.txt" || {
   echo "FAIL: warm-cache output differs from cold run"; exit 1; }
-PCT=$(sed -n 's/.*cache-served=\([0-9]*\)%.*/\1/p' "$OUT_DIR/warm.err" | tail -1)
+PCT=$(sed -n 's/.*cache-served=\([0-9]*\)%.*/\1/p' "$WORK/all/warm.err" | tail -1)
 echo "cache-served=${PCT:-?}%"
 [ -n "$PCT" ] && [ "$PCT" -ge 90 ] || {
   echo "FAIL: warm run served ${PCT:-0}% from cache (need >= 90%)"
-  cat "$OUT_DIR/warm.err"; exit 1; }
+  cat "$WORK/all/warm.err"; exit 1; }
 
 echo "CI OK"

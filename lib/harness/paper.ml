@@ -1,7 +1,7 @@
 (* The paper's experiments in [mdabench all] order: (name, one-line
    description, runner). [mdabench] builds one subcommand per entry and
    prints the descriptions in [mdabench list] and each subcommand's
-   --help; bench/main.exe and the harness tests iterate the same list.
+   --help; [mdabench all] and the harness tests iterate the same list.
 
    bench/suite/paper_regen.ml keeps its own (name, runner) copy: the
    benchmark suite is held fixed so that its figures stay comparable

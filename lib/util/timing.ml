@@ -1,19 +1,19 @@
 (* Repetition-based wall-clock measurement over a caller-supplied
    monotonic clock.
 
-   The benchmark harness used to time with [Unix.gettimeofday], which
-   follows wall-clock adjustments (NTP slew, manual steps), so a clock
-   jump mid-measurement could silently corrupt a BENCH_*.json point.
-   This helper takes the clock as a parameter — a [unit -> int64]
-   returning monotonic nanoseconds, e.g. Bechamel's
-   [Monotonic_clock.now] — keeping this library dependency-free and the
-   measurement logic testable against a fake clock.
+   Not [Unix.gettimeofday]: it follows wall-clock adjustments (NTP
+   slew, manual steps), so a clock jump mid-measurement would silently
+   corrupt a benchmark figure. This helper takes the clock as a
+   parameter — a [unit -> int64] returning monotonic nanoseconds, e.g.
+   Bechamel's [Monotonic_clock.now] — keeping this library
+   dependency-free and the measurement logic testable against a fake
+   clock.
 
    Measurement shape: [rounds] independent rounds; each round repeats
    the thunk until at least [min_ns] have elapsed (always at least
    once) and yields an average ns-per-rep. The sample reports the best
-   and median of the per-round figures — the median is what trajectory
-   files should record (robust to a slow outlier round), the best
+   and median of the per-round figures — the median is what a benchmark
+   should record (robust to a slow outlier round), the best
    bounds the true cost from above least loosely. *)
 
 type sample = {

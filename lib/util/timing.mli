@@ -1,8 +1,8 @@
 (** Repetition-based wall-clock measurement over a caller-supplied
     monotonic clock ([unit -> int64] nanoseconds, e.g. Bechamel's
-    [Monotonic_clock.now]). Replaces ad-hoc [Unix.gettimeofday] loops,
-    which followed wall-clock adjustments and could corrupt a
-    [BENCH_*.json] trajectory point on a clock step. *)
+    [Monotonic_clock.now]). Not [Unix.gettimeofday], which follows
+    wall-clock adjustments and would corrupt a benchmark figure on a
+    clock step. *)
 
 type sample = {
   best_ns : float;  (** fastest round's ns per repetition *)

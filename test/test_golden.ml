@@ -83,7 +83,13 @@ let cases =
     ("explain-pr8", explain_rules);
     ("chaos-42", cli "chaos --seed 42 --plans 3");
     ("chaos-serve-42", cli "chaos --serve --seed 42 --plans 2");
-    ("serve-42", cli "serve --tenants 3 --sessions 2 --seed 42 --storm 2 --noisy 1") ]
+    ("serve-42", cli "serve --tenants 3 --sessions 2 --seed 42 --storm 2 --noisy 1");
+    (* the peephole tier's modelled effect: against run-bwaves-direct,
+       fewer cycles and a shorter code cache *)
+    ( "run-bwaves-direct-rules",
+      cli
+        ("run 410.bwaves -m direct --scale 0.05 --selfcheck --rules "
+        ^ Filename.quote Test_util.committed_rules) ) ]
   @ List.map
       (fun m ->
         ( "run-bwaves-" ^ m,
