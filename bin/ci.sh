@@ -166,6 +166,13 @@ dune exec bin/mdabench.exe -- verify --program examples/asm/tour.asm --jobs 2 >/
 dune exec bin/mdabench.exe -- chaos --program examples/asm/tour.asm \
   --plans 5 --seed 7 --jobs 2 >/dev/null || {
   echo "FAIL: chaos gate (tour.asm)"; exit 1; }
+# a guest store outside simulated memory is a typed fault: exit 3 and
+# a one-line diagnostic, never an uncaught exception
+rc=0
+dune exec bin/mdabench.exe -- run --program examples/asm/wild_store.asm -m direct \
+  >/dev/null 2>"$WORK/asm/wild.err" || rc=$?
+[ "$rc" -eq 3 ] && [ "$(wc -l <"$WORK/asm/wild.err")" -eq 1 ] || {
+  echo "FAIL: wild_store.asm exited $rc (want 3) with stderr:"; cat "$WORK/asm/wild.err"; exit 1; }
 
 echo "== bounded-cache table1 is byte-identical to the unbounded run"
 mkdir "$WORK/bound"

@@ -545,13 +545,13 @@ let aot_cmd =
     let w = W.Workload.instantiate ~scale name in
     let imem = W.Workload.fresh_memory w in
     let istats, _ = Bt.Runtime.interpret_program ~mem:imem ~entry:(W.Workload.entry w) () in
-    let idigest = Digest.bytes (Mda_machine.Memory.raw imem) in
+    let idigest = Mda_machine.Memory.digest imem in
     (* the AOT run *)
     let astats, rt, p =
       H.Experiment.run_spec_rt ~scale ~mode ?rules (H.Cell.Aot { unknown }) name
     in
     let analysis = Option.get p.Spec.analysis and tstats = snd (Option.get p.Spec.aot) in
-    let adigest = Digest.bytes (Mda_machine.Memory.raw rt.Bt.Runtime.cpu.Mda_machine.Cpu.mem) in
+    let adigest = Mda_machine.Memory.digest rt.Bt.Runtime.cpu.Mda_machine.Cpu.mem in
     (* the same verdicts applied dynamically (translation at dispatch) *)
     let dstats, _, _ =
       H.Experiment.run_spec_rt ~scale ~mode ?rules (H.Cell.Static_analysis { unknown }) name
@@ -1742,6 +1742,11 @@ let () =
     exit 3
   | exception Bt.Runtime.Runtime_error msg ->
     Printf.eprintf "mdabench: %s\n" msg;
+    exit 3
+  (* a guest load or store outside simulated memory: the input program's
+     fault, like an unlowerable instruction *)
+  | exception (Mda_machine.Memory.Out_of_bounds _ as e) ->
+    Printf.eprintf "mdabench: %s\n" (Printexc.to_string e);
     exit 3
   (* bad user input that bubbles up as a stdlib exception (unknown
      benchmark name, missing trace file): a one-line diagnostic, not a

@@ -24,26 +24,62 @@ let pp_error fmt = function
     Format.fprintf fmt "block at %#x exceeds %d instructions without a branch" start
       limit
 
+(* Instructions are decoded straight from the page holding them, in
+   page-relative positions. An encoding that runs into the end of a page
+   that is not the end of memory is redecoded from a small copied window
+   spanning the boundary ([window] exceeds the longest x86lite encoding,
+   15 bytes). Addresses and error offsets come out absolute. *)
+let window = 32
+
+let truncated pos =
+  Error (Decode_failed { G.Decode.offset = pos; reason = "truncated instruction" })
+
+let decode_window mem pos =
+  let n = min window (Mda_machine.Memory.size mem - pos) in
+  let w = Bytes.init n (fun i -> Char.chr (Mda_machine.Memory.read_u8 mem (pos + i))) in
+  match G.Decode.decode w ~pos:0 with
+  | Ok (insn, next) -> Ok (insn, pos + next)
+  | Error e -> Error { e with G.Decode.offset = pos }
+
+let found pc acc_i acc_a next =
+  Ok
+    { start = pc;
+      insns = Array.of_list (List.rev acc_i);
+      addrs = Array.of_list (List.rev acc_a);
+      next }
+
 (* [discover mem ~pc] decodes the basic block starting at guest address
    [pc]. [max_insns] guards against runaway decoding through data. *)
 let discover ?(max_insns = 4096) mem ~pc =
-  let bytes = Mda_machine.Memory.raw mem in
-  let rec go pos acc_i acc_a n =
+  let size = Mda_machine.Memory.size mem in
+  (* decode on from offset [off] of [page], which holds guest bytes
+     [base, base + Bytes.length page) *)
+  let rec scan page base off acc_i acc_a n =
+    let limit = Bytes.length page in
     if n >= max_insns then Error (Too_long { start = pc; limit = max_insns })
+    else if off >= limit then
+      if base + off >= size then truncated (base + off) else enter (base + off) acc_i acc_a n
     else
-      match G.Decode.decode bytes ~pos with
-      | Error e -> Error (Decode_failed e)
-      | Ok (insn, next_pos) ->
-        let acc_i = insn :: acc_i and acc_a = pos :: acc_a in
-        if G.Isa.is_block_end insn then
-          Ok
-            { start = pc;
-              insns = Array.of_list (List.rev acc_i);
-              addrs = Array.of_list (List.rev acc_a);
-              next = next_pos }
-        else go next_pos acc_i acc_a (n + 1)
+      match G.Decode.decode page ~pos:off with
+      | Ok (insn, next) ->
+        let acc_i = insn :: acc_i and acc_a = (base + off) :: acc_a in
+        if G.Isa.is_block_end insn then found pc acc_i acc_a (base + next)
+        else scan page base next acc_i acc_a (n + 1)
+      | Error e when off + window <= limit || base + limit >= size ->
+        Error (Decode_failed { e with G.Decode.offset = base + off })
+      | Error _ -> (
+        match decode_window mem (base + off) with
+        | Error e -> Error (Decode_failed e)
+        | Ok (insn, next) ->
+          let acc_i = insn :: acc_i and acc_a = (base + off) :: acc_a in
+          if G.Isa.is_block_end insn then found pc acc_i acc_a next
+          else enter next acc_i acc_a (n + 1))
+  (* go on at guest address [pos], inside memory, from its page *)
+  and enter pos acc_i acc_a n =
+    let off = pos land (Mda_machine.Memory.page_size - 1) in
+    scan (Mda_machine.Memory.page_at mem pos) (pos - off) off acc_i acc_a n
   in
-  go pc [] [] 0
+  if pc < 0 || pc >= size then truncated pc else enter pc [] [] 0
 
 let length t = Array.length t.insns
 

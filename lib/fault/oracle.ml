@@ -9,7 +9,7 @@ type state = { regs : int64 array; mem : string (* Digest *) }
 
 let state (cpu : Machine.Cpu.t) =
   { regs = Array.init 8 (fun i -> if i = 4 then 0L else Machine.Cpu.get cpu i);
-    mem = Digest.bytes (Machine.Memory.raw cpu.Machine.Cpu.mem) }
+    mem = Machine.Memory.digest cpu.Machine.Cpu.mem }
 
 let state_eq a b = a.regs = b.regs && String.equal a.mem b.mem
 

@@ -28,6 +28,10 @@ let u32 bytes pos =
   let b i = u8 bytes (pos + i) in
   b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
 
+let size bytes pos =
+  let c = u8 bytes pos in
+  if c > 3 then raise (Fail (Printf.sprintf "bad size code %d" c)) else Encode.size_of_code c
+
 let reg bytes pos =
   let v = u8 bytes pos in
   if v > 7 then raise (Fail (Printf.sprintf "bad register %d" v)) else reg_of_index v
@@ -71,12 +75,12 @@ let decode bytes ~pos =
       if b1 land lnot 0x0F <> 0 then raise (Fail (Printf.sprintf "bad load byte %#x" b1));
       let dst = reg_of_index (b1 land 7) in
       let signed = b1 land 0x08 <> 0 in
-      let size = Encode.size_of_code (u8 bytes (pos + 2)) in
+      let size = size bytes (pos + 2) in
       let src, next = addr bytes (pos + 3) in
       ok (Load { dst; src; size; signed }) next
     | 0x02 ->
       let src = reg bytes (pos + 1) in
-      let size = Encode.size_of_code (u8 bytes (pos + 2)) in
+      let size = size bytes (pos + 2) in
       let dst, next = addr bytes (pos + 3) in
       ok (Store { src; dst; size }) next
     | 0x03 ->
@@ -106,7 +110,7 @@ let decode bytes ~pos =
       if opi > 8 then raise (Fail (Printf.sprintf "bad rmw op %d" opi));
       let op = binop_of_index opi in
       if not (rmw_op_ok op) then raise (Fail (Printf.sprintf "illegal rmw op %d" opi));
-      let size = Encode.size_of_code (u8 bytes (pos + 2)) in
+      let size = size bytes (pos + 2) in
       if size = S8 then raise (Fail "no 8-byte RMW in 32-bit x86");
       let src, next = operand bytes (pos + 3) in
       let dst, next = addr bytes next in

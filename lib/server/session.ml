@@ -95,6 +95,11 @@ let step t ~fuel =
           | exception Machine.Cpu.Fatal msg ->
             t.status <- Faulted (Error msg);
             continue := false
+          (* a wild guest access faults this session only, never the
+             scheduler running every other tenant *)
+          | exception (Machine.Memory.Out_of_bounds _ as e) ->
+            t.status <- Faulted (Error (Printexc.to_string e));
+            continue := false
         end)
     done;
     (match t.status with

@@ -12,7 +12,9 @@ type fault =
   | Fuel_exhausted  (** the runtime's runaway guard fired *)
   | Guest_limit  (** [max_guest_insns] reached without a guest Halt *)
   | Aot_miss of int  (** AOT dispatch fell off the static image *)
-  | Error of string  (** {!Mda_bt.Runtime.Runtime_error} or a wild branch *)
+  | Error of string
+      (** {!Mda_bt.Runtime.Runtime_error}, a wild branch or a guest
+          access outside memory ({!Mda_machine.Memory.Out_of_bounds}) *)
 
 val fault_to_string : fault -> string
 

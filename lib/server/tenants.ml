@@ -12,7 +12,12 @@ let owner_of addr =
 
 type profile_kind = Steady | Noisy | Storm
 
-type spec = { tid : int; kind : profile_kind; groups : W.Gen.group list }
+type spec = {
+  tid : int;
+  kind : profile_kind;
+  groups : W.Gen.group list;
+  program : W.Gen.program;
+}
 
 (* Group synthesis per personality. Execution counts are kept modest so
    a serve run multiplexing many sessions stays fast; what matters is
@@ -80,14 +85,12 @@ let groups_for rng tid kind =
           via_call = false;
         })
 
-let build spec ~input = W.Gen.build ~base:(base_of spec.tid) ~input spec.groups
-
-let check_fits spec (p : W.Gen.program) =
+let check_fits tid (p : W.Gen.program) =
   let len = Bytes.length p.W.Gen.asm_program.Mda_guest.Asm.image in
   if len > spacing then
     invalid_arg
       (Printf.sprintf "Tenants: tenant %d program image (%d bytes) overflows its %d-byte window"
-         spec.tid len spacing)
+         tid len spacing)
 
 let derive ?(noisy = []) ?(storm = []) ~seed ~tenants () =
   if tenants < 1 then invalid_arg "Tenants.derive: tenants must be >= 1";
@@ -106,23 +109,22 @@ let derive ?(noisy = []) ?(storm = []) ~seed ~tenants () =
           (Rng.create
              (Int64.logxor seed (Int64.mul (Int64.of_int (tid + 1)) 0x9E3779B97F4A7C15L)))
       in
-      let spec = { tid; kind; groups = groups_for rng tid kind } in
-      check_fits spec (build spec ~input:W.Gen.Ref);
-      spec)
+      let groups = groups_for rng tid kind in
+      let program = W.Gen.build ~base:(base_of tid) ~input:W.Gen.Ref groups in
+      check_fits tid program;
+      { tid; kind; groups; program })
 
-let program spec =
-  let p = build spec ~input:W.Gen.Ref in
-  check_fits spec p;
-  p
-
-let fresh_mem spec = W.Gen.load (program spec)
+(* each incarnation loads the Ref program built once by [derive] *)
+let fresh_mem spec = W.Gen.load spec.program
 
 (* The tenant as a preparation subject: its Ref program image, and the
    same groups built for the Train input. *)
 let subject spec =
   { Spec.name = Printf.sprintf "tenant %d" spec.tid;
     image = (fun () -> fresh_mem spec);
-    train = (fun () -> W.Gen.load (build spec ~input:W.Gen.Train)) }
+    train =
+      (fun () ->
+        W.Gen.load (W.Gen.build ~base:(base_of spec.tid) ~input:W.Gen.Train spec.groups)) }
 
 let mechanism_of spec label =
   match Spec.parse_stress label with

@@ -25,7 +25,13 @@ type profile_kind =
       (** misalignment-heavy (every-execution and input-dependent
           sites): a trap storm under profiling/patching mechanisms *)
 
-type spec = { tid : int; kind : profile_kind; groups : Mda_workloads.Gen.group list }
+type spec = {
+  tid : int;
+  kind : profile_kind;
+  groups : Mda_workloads.Gen.group list;
+  program : Mda_workloads.Gen.program;
+      (** the groups built for the Ref input at {!base_of} [tid], once *)
+}
 
 (** Derive [tenants] deterministic tenant specs from [seed]. Tenant
     kinds default to [Steady]; [noisy]/[storm] name tenants overridden
@@ -34,10 +40,8 @@ type spec = { tid : int; kind : profile_kind; groups : Mda_workloads.Gen.group l
 val derive :
   ?noisy:int list -> ?storm:int list -> seed:int64 -> tenants:int -> unit -> spec list
 
-(** Assemble the spec's program (Ref input) at the tenant's base. *)
-val program : spec -> Mda_workloads.Gen.program
-
-(** Entry point and freshly loaded+initialized guest memory. *)
+(** Entry point and freshly loaded+initialized guest memory: loads
+    [spec.program], never rebuilds it. *)
 val fresh_mem : spec -> int * Mda_machine.Memory.t
 
 (** The tenant as a {!Mda_mech.Mech_spec.subject}: its Ref image, and

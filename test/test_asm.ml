@@ -550,6 +550,8 @@ let tour_path = find_file "examples/asm/tour.asm"
 
 let stack_path = find_file "examples/asm/stack.asm"
 
+let wild_store_path = find_file "examples/asm/wild_store.asm"
+
 (* The hand-written transcription of stack.frames must assemble to the
    exact byte image of the generated benchmark. *)
 let test_stack_asm_image_identical () =

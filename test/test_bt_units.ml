@@ -56,6 +56,97 @@ let test_block_decode_error () =
   | Error (Bt.Block.Decode_failed _) -> ()
   | _ -> Alcotest.fail "expected Decode_failed"
 
+(* Discovery decodes in place from 4 KiB pages: an instruction or a
+   decode error that straddles a page boundary, or runs off the end of
+   memory, must come out exactly as the flat decoder reads it from a
+   copy of the whole memory, with absolute positions and offsets. *)
+let test_block_page_straddle () =
+  let page = Machine.Memory.page_size in
+  let size_bytes = (2 * page) + 100 in
+  let flat mem pc =
+    let bytes = Machine.Memory.raw mem in
+    let rec go pos acc =
+      match G.Decode.decode bytes ~pos with
+      | Error e -> Error e
+      | Ok (insn, next) ->
+        let acc = (pos, insn) :: acc in
+        if GI.is_block_end insn then Ok (List.rev acc, next) else go next acc
+    in
+    go pc []
+  in
+  let agrees mem pc =
+    let paged =
+      match Bt.Block.discover mem ~pc with
+      | Ok b ->
+        Ok (List.combine (Array.to_list b.Bt.Block.addrs) (Array.to_list b.Bt.Block.insns),
+            b.Bt.Block.next)
+      | Error (Bt.Block.Decode_failed e) -> Error e
+      | Error e -> Alcotest.failf "discover at %#x: %a" pc Bt.Block.pp_error e
+    in
+    let flat = flat mem pc in
+    Alcotest.(check bool) (Printf.sprintf "block at %#x matches the flat decoder" pc) true
+      (paged = flat);
+    flat
+  in
+  let longest =
+    GI.Rmw
+      { op = GI.Add;
+        dst = { GI.base = Some GI.EBX; index = Some (GI.ECX, 4); disp = -123456 };
+        src = GI.Imm 0x12345678l;
+        size = GI.S4 }
+  in
+  let insns =
+    [ longest;
+      GI.Load
+        { dst = GI.EAX; src = GI.addr_base ~disp:0x7FF0 GI.ESI; size = GI.S8; signed = false };
+      GI.Jcc { cond = GI.Ne; target = 0x2000 };
+      GI.Mov_imm { dst = GI.EDX; imm = -1l } ]
+  in
+  List.iter
+    (fun insn ->
+      let image = Bytes.cat (G.Encode.encode insn) (G.Encode.encode GI.Halt) in
+      let len = Bytes.length image - 1 in
+      (* across each interior boundary: decodes, whole *)
+      List.iter
+        (fun boundary ->
+          for shift = 1 to len - 1 do
+            let mem = Machine.Memory.create ~size_bytes in
+            let pc = boundary - shift in
+            Machine.Memory.load_image mem ~addr:pc image;
+            match agrees mem pc with
+            | Ok (got, next) ->
+              let ends = GI.is_block_end insn in
+              Alcotest.(check (list (pair int string))) "straddling insn decoded"
+                ((pc, G.Pretty.insn_to_string insn)
+                :: (if ends then [] else [ (pc + len, "hlt") ]))
+                (List.map (fun (a, i) -> (a, G.Pretty.insn_to_string i)) got);
+              Alcotest.(check int) "next is absolute" (pc + len + if ends then 0 else 1) next
+            | Error e -> Alcotest.failf "%a" G.Decode.pp_error e
+          done)
+        [ page; 2 * page ];
+      (* cut off by the end of memory: a truncation error at [pc] *)
+      for shift = 1 to len - 1 do
+        let mem = Machine.Memory.create ~size_bytes in
+        let pc = size_bytes - shift in
+        Machine.Memory.load_image mem ~addr:pc (Bytes.sub image 0 shift);
+        match agrees mem pc with
+        | Error e -> Alcotest.(check int) "error offset is absolute" pc e.G.Decode.offset
+        | Ok _ -> Alcotest.fail "decoded past the end of memory"
+      done)
+    insns;
+  (* seeded noise around every boundary: errors agree too *)
+  let rng = Random.State.make [| 20 |] in
+  let mem = Machine.Memory.create ~size_bytes in
+  List.iter
+    (fun boundary ->
+      for a = boundary - 16 to min (boundary + 15) (size_bytes - 1) do
+        Machine.Memory.write_u8 mem a (Random.State.int rng 0x14)
+      done;
+      for pc = boundary - 16 to boundary - 1 do
+        ignore (agrees mem pc)
+      done)
+    [ page; 2 * page; size_bytes ]
+
 let test_block_mem_sites () =
   let mem, offsets =
     load_insns
@@ -269,6 +360,7 @@ let suite =
         Alcotest.test_case "every terminator ends" `Quick test_block_ends_at_every_terminator;
         Alcotest.test_case "too long" `Quick test_block_too_long;
         Alcotest.test_case "decode error" `Quick test_block_decode_error;
+        Alcotest.test_case "page-straddling decode" `Quick test_block_page_straddle;
         Alcotest.test_case "memory sites" `Quick test_block_mem_sites ] );
     ( "bt.profile",
       [ Alcotest.test_case "counting" `Quick test_profile_counting;

@@ -193,6 +193,24 @@ let test_scale_rejects_nonsense () =
       "run 164.gzip --scale=-1";
       "run 164.gzip --scale=0" ]
 
+(* a guest store outside simulated memory is the program's fault: a
+   one-line diagnostic and exit 3, like an unlowerable instruction *)
+let test_wild_store_exits_3 () =
+  let err = tmp_file "wild_err.txt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ()) @@ fun () ->
+  List.iter
+    (fun m ->
+      let args = Printf.sprintf "run --program %s -m %s" Test_asm.wild_store_path m in
+      let rc = Sys.command (Printf.sprintf "%s %s > /dev/null 2> %s" exe args err) in
+      let lines = String.split_on_char '\n' (String.trim (slurp err)) in
+      Alcotest.(check int) (args ^ " exits 3") 3 rc;
+      Alcotest.(check int) (args ^ ": one stderr line") 1 (List.length lines);
+      Alcotest.(check bool) (args ^ ": names the access") true
+        (contains ~needle:"out of bounds" (slurp err));
+      Alcotest.(check bool) (args ^ ": no uncaught exception") false
+        (contains ~needle:"Fatal error" (slurp err)))
+    [ "direct"; "eh"; "interp" ]
+
 (* Cmdliner rejects a repeated option name in a composed term only when
    that command is evaluated, so every subcommand's help must render. *)
 let test_every_help_renders () =
@@ -347,6 +365,7 @@ let suite =
       Alcotest.test_case "--scale rejects non-finite and non-positive values" `Quick
         test_scale_rejects_nonsense;
       Alcotest.test_case "every subcommand's help renders" `Quick test_every_help_renders;
+      Alcotest.test_case "a wild guest store exits 3" `Quick test_wild_store_exits_3;
       Alcotest.test_case "mine --replay and --explain" `Quick test_mine_replay_and_explain;
       Alcotest.test_case "mine --replay rejects unprovable rules" `Quick
         test_mine_replay_rejects_unprovable;

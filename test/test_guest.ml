@@ -63,9 +63,13 @@ let test_decode_errors () =
   | Error { reason; _ } -> Alcotest.(check string) "truncated" "truncated instruction" reason
   | Ok _ -> Alcotest.fail "expected truncation error");
   (* bad register *)
-  match Dec.decode (Bytes.of_string "\x04\x09\x00") ~pos:0 with
+  (match Dec.decode (Bytes.of_string "\x04\x09\x00") ~pos:0 with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected bad register error"
+  | Ok _ -> Alcotest.fail "expected bad register error");
+  (* bad size code: an error value, not an exception *)
+  match Dec.decode (Bytes.of_string "\x02\x00\x13\x00\x00\x00\x00\x00") ~pos:0 with
+  | Error { reason; _ } -> Alcotest.(check string) "bad size" "bad size code 19" reason
+  | Ok _ -> Alcotest.fail "expected bad size code error"
 
 let test_decode_all () =
   let prog = [ G.Nop; G.Mov_imm { dst = G.EAX; imm = 5l }; G.Halt ] in

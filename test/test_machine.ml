@@ -49,7 +49,54 @@ let test_memory_load_image () =
   let m = Memory.create ~size_bytes:64 in
   Memory.load_image m ~addr:10 (Bytes.of_string "abc");
   Alcotest.(check int) "a" (Char.code 'a') (Memory.read_u8 m 10);
-  Alcotest.(check int) "c" (Char.code 'c') (Memory.read_u8 m 12)
+  Alcotest.(check int) "c" (Char.code 'c') (Memory.read_u8 m 12);
+  (* an image spanning a page boundary *)
+  let m = Memory.create ~size_bytes:(2 * Memory.page_size) in
+  Memory.load_image m ~addr:(Memory.page_size - 2) (Bytes.of_string "wxyz");
+  Alcotest.(check int64) "spans the boundary" 0x7A797877L
+    (Memory.read m ~addr:(Memory.page_size - 2) ~size:4)
+
+(* Every size at every page offset from 4088 to 4095: a write reads
+   back, and its bytes land little-endian on both sides of the 4 KiB
+   page boundary. *)
+let test_memory_page_straddle () =
+  let page = Memory.page_size in
+  List.iter
+    (fun size ->
+      for off = page - 8 to page - 1 do
+        let m = Memory.create ~size_bytes:(2 * page) in
+        let v = Mda_util.Bits.truncate ~size 0x8877665544332211L in
+        Memory.write m ~addr:off ~size v;
+        let name = Printf.sprintf "size %d at +%d" size off in
+        Alcotest.(check int64) (name ^ ": round-trip") v (Memory.read m ~addr:off ~size);
+        for i = 0 to size - 1 do
+          Alcotest.(check int) (Printf.sprintf "%s: byte %d" name i) (0x11 * (i + 1))
+            (Memory.read_u8 m (off + i))
+        done;
+        Alcotest.(check int) (name ^ ": byte before untouched") 0 (Memory.read_u8 m (off - 1));
+        Alcotest.(check int) (name ^ ": byte after untouched") 0
+          (Memory.read_u8 m (off + size))
+      done)
+    [ 1; 2; 4; 8 ]
+
+(* The digest sees contents, not page history. *)
+let test_memory_digest () =
+  let size_bytes = 3 * Memory.page_size in
+  let fresh = Memory.create ~size_bytes in
+  let rezeroed = Memory.create ~size_bytes in
+  Memory.write rezeroed ~addr:(Memory.page_size - 2) ~size:8 0x0102030405060708L;
+  Memory.write rezeroed ~addr:(Memory.page_size - 2) ~size:8 0L;
+  Alcotest.(check string) "written then re-zeroed = fresh" (Memory.digest fresh)
+    (Memory.digest rezeroed);
+  let one = Memory.create ~size_bytes in
+  Memory.write_u8 one (2 * Memory.page_size + 5) 1;
+  Alcotest.(check bool) "one differing byte changes it" false
+    (String.equal (Memory.digest fresh) (Memory.digest one));
+  Alcotest.(check bool) "raw copy is flat" true
+    (Bytes.equal (Memory.raw one)
+       (let b = Bytes.make size_bytes '\000' in
+        Bytes.set b ((2 * Memory.page_size) + 5) '\001';
+        b))
 
 (* --- cache ------------------------------------------------------------------ *)
 
@@ -279,7 +326,9 @@ let suite =
         Alcotest.test_case "rw roundtrip" `Quick test_memory_rw_roundtrip;
         Alcotest.test_case "misaligned rw" `Quick test_memory_misaligned_rw;
         Alcotest.test_case "bounds" `Quick test_memory_bounds;
-        Alcotest.test_case "load image" `Quick test_memory_load_image ] );
+        Alcotest.test_case "load image" `Quick test_memory_load_image;
+        Alcotest.test_case "page-straddling accesses" `Quick test_memory_page_straddle;
+        Alcotest.test_case "digest is canonical" `Quick test_memory_digest ] );
     ( "machine.cache",
       [ Alcotest.test_case "hit after miss" `Quick test_cache_hit_after_miss;
         Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;

@@ -42,9 +42,19 @@ type mem_op =
   | W of int * int * int64 (* size, addr, value *)
   | R of int * int
 
+(* Several 4 KiB pages plus a partial one, so accesses straddle page
+   boundaries and run off the end. Addresses are biased to within 8
+   bytes of every page boundary and of both ends of memory. *)
+let model_size = (3 * 4096) + 100
+
 let gen_mem_op =
   let open QCheck.Gen in
-  let addr = int_bound 200 in
+  let edge = oneofl [ 0; 4096; 2 * 4096; 3 * 4096; model_size ] in
+  let addr =
+    frequency
+      [ (1, int_bound (model_size - 1));
+        (3, map2 ( + ) edge (int_range (-8) 8)) ]
+  in
   oneof
     [ map2 (fun a v -> W8 (a, v)) addr (int_bound 255);
       (let* size = oneofl [ 1; 2; 4; 8 ] in
@@ -54,44 +64,42 @@ let gen_mem_op =
        let* a = addr in
        return (R (size, a))) ]
 
+(* Every op returns its read value, or [None] when it is rejected:
+   [Out_of_bounds] from memory, [Invalid_argument] from [Bytes]. Both
+   must agree op by op, and the final contents must be equal. *)
 let prop_memory_matches_bytes =
   QCheck.Test.make ~name:"memory behaves as plain byte array" ~count:300
     QCheck.(list_of_size Gen.(int_range 1 100) (make gen_mem_op))
     (fun ops ->
-      let m = Machine.Memory.create ~size_bytes:256 in
-      let b = Bytes.make 256 '\000' in
+      let m = Machine.Memory.create ~size_bytes:model_size in
+      let b = Bytes.make model_size '\000' in
+      let mem f = try Some (f ()) with Machine.Memory.Out_of_bounds _ -> None in
+      let model f = try Some (f ()) with Invalid_argument _ -> None in
       List.for_all
         (fun op ->
           match op with
           | W8 (a, v) ->
-            Machine.Memory.write_u8 m a v;
-            Bytes.set b a (Char.chr v);
-            true
+            mem (fun () -> Machine.Memory.write_u8 m a v; 0L)
+            = model (fun () -> Bytes.set b a (Char.chr v); 0L)
           | W (size, a, v) ->
-            if a + size > 256 then true
-            else begin
-              Machine.Memory.write m ~addr:a ~size v;
-              (match size with
-              | 1 -> Bytes.set b a (Char.chr (Int64.to_int v land 0xFF))
-              | 2 -> Bytes.set_uint16_le b a (Int64.to_int v land 0xFFFF)
-              | 4 -> Bytes.set_int32_le b a (Int64.to_int32 v)
-              | _ -> Bytes.set_int64_le b a v);
-              true
-            end
+            mem (fun () -> Machine.Memory.write m ~addr:a ~size v; 0L)
+            = model (fun () ->
+                  (match size with
+                  | 1 -> Bytes.set b a (Char.chr (Int64.to_int v land 0xFF))
+                  | 2 -> Bytes.set_uint16_le b a (Int64.to_int v land 0xFFFF)
+                  | 4 -> Bytes.set_int32_le b a (Int64.to_int32 v)
+                  | _ -> Bytes.set_int64_le b a v);
+                  0L)
           | R (size, a) ->
-            if a + size > 256 then true
-            else begin
-              let got = Machine.Memory.read m ~addr:a ~size in
-              let expect =
-                match size with
-                | 1 -> Int64.of_int (Char.code (Bytes.get b a))
-                | 2 -> Int64.of_int (Bytes.get_uint16_le b a)
-                | 4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le b a)) 0xFFFFFFFFL
-                | _ -> Bytes.get_int64_le b a
-              in
-              Int64.equal got expect
-            end)
-        ops)
+            mem (fun () -> Machine.Memory.read m ~addr:a ~size)
+            = model (fun () ->
+                  match size with
+                  | 1 -> Int64.of_int (Char.code (Bytes.get b a))
+                  | 2 -> Int64.of_int (Bytes.get_uint16_le b a)
+                  | 4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le b a)) 0xFFFFFFFFL
+                  | _ -> Bytes.get_int64_le b a))
+        ops
+      && Bytes.equal (Machine.Memory.raw m) b)
 
 (* --- workload layout invariants -------------------------------------------- *)
 

@@ -253,7 +253,7 @@ let test_installed_tier () =
       let config = { (Bt.Runtime.default_config Bt.Mechanism.Direct) with rules } in
       let t = Bt.Runtime.create ~config ~mem () in
       let stats = Bt.Runtime.run t ~entry:(W.Workload.entry w) in
-      (stats, Digest.bytes (Mda_machine.Memory.raw mem), t)
+      (stats, Mda_machine.Memory.digest mem, t)
     in
     let s0, d0, _ = run None in
     let s1, d1, t1 = run (Some (P.activate rules)) in

@@ -193,6 +193,61 @@ let test_supervisor_gives_up () =
   Alcotest.(check int) "exponential backoff hits exactly the cap" 4
     r.Srv.Scheduler.max_backoff_used
 
+(* One tenant's store outside simulated memory faults its own session,
+   every incarnation of it, and nothing else: the other tenants'
+   sessions halt with their oracle state. The wild program is assembled
+   in its own tenant window so it shares no block keys with the others. *)
+let test_wild_store_is_contained () =
+  let tspecs = Srv.Tenants.derive ~seed:19L ~tenants:2 () in
+  let wild_tid = 2 in
+  let wild =
+    match
+      Mda_guest.Parse.program ~base:(Srv.Tenants.base_of wild_tid)
+        (Test_util.slurp Test_asm.wild_store_path)
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "wild_store.asm: %a" Mda_guest.Parse.pp_error e
+  in
+  let wild_spec =
+    { Srv.Scheduler.tid = wild_tid;
+      arrival = 0;
+      entry = wild.Mda_guest.Asm.base;
+      fresh_mem =
+        (fun () ->
+          let mem = Mda_machine.Memory.create ~size_bytes:Bt.Layout.mem_size in
+          Mda_machine.Memory.load_image mem ~addr:wild.Mda_guest.Asm.base
+            wild.Mda_guest.Asm.image;
+          mem);
+      config = Bt.Runtime.default_config Bt.Mechanism.Direct;
+      crash_at = None;
+      first_fuel = None }
+  in
+  let t0 = List.nth tspecs 0 and t1 = List.nth tspecs 1 in
+  let specs = [ spec_of t0 "eh"; wild_spec; spec_of t1 "dpeh"; spec_of t0 "direct" ] in
+  let o = Srv.Scheduler.run ~tenants:3 Srv.Scheduler.default_config specs in
+  List.iteri
+    (fun sid sess ->
+      match sess with
+      | None -> Alcotest.failf "session %d was rejected" sid
+      | Some s when s.Srv.Session.tid = wild_tid -> (
+        match s.Srv.Session.status with
+        | Srv.Session.Faulted (Srv.Session.Error msg) ->
+          Alcotest.(check bool) "wild session names the access" true
+            (Test_cli.contains ~needle:"out of bounds" msg)
+        | st ->
+          Alcotest.failf "wild session ended %s"
+            (match st with
+            | Srv.Session.Faulted f -> Srv.Session.fault_to_string f
+            | _ -> "without a fault"))
+      | Some s ->
+        Alcotest.(check bool) (Printf.sprintf "session %d halted" sid) true
+          (s.Srv.Session.status = Srv.Session.Halted);
+        Alcotest.(check bool)
+          (Printf.sprintf "session %d state matches oracle" sid)
+          true
+          (F.Oracle.state_eq (oracle (List.nth tspecs s.Srv.Session.tid)) (session_state s)))
+    o.Srv.Scheduler.finals
+
 (* --- trap-storm demotion ----------------------------------------------- *)
 
 (* A storm tenant whose patches are always refused (and whose sites
@@ -377,6 +432,8 @@ let suite =
       Alcotest.test_case "supervisor restarts" `Quick test_supervisor_restart;
       Alcotest.test_case "supervisor gives up within caps" `Quick
         test_supervisor_gives_up;
+      Alcotest.test_case "a wild store faults only its session" `Quick
+        test_wild_store_is_contained;
       Alcotest.test_case "trap-storm demotion" `Quick test_storm_demotion;
       Alcotest.test_case "serve determinism" `Quick test_determinism;
       Alcotest.test_case "session-tagged trace replay" `Quick
