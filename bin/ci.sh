@@ -109,6 +109,15 @@ dune exec bin/mdabench.exe -- run 410.bwaves -m eh --scale 0.05 \
   --trace-out "$WORK/trace/run.jsonl" >"$WORK/trace/traced.txt" 2>/dev/null
 cmp "$WORK/trace/plain.txt" "$WORK/trace/traced.txt" || {
   echo "FAIL: --trace-out changed the run's stdout"; exit 1; }
+# the same for serve, whose footer is the scheduler's aggregate statistics
+SERVE="serve --tenants 3 --sessions 2 --seed 42 --storm 2 --noisy 1"
+dune exec bin/mdabench.exe -- $SERVE >"$WORK/trace/serve-plain.txt" 2>/dev/null
+dune exec bin/mdabench.exe -- $SERVE --trace-out "$WORK/trace/serve.jsonl" \
+  >"$WORK/trace/serve-traced.txt" 2>/dev/null
+cmp "$WORK/trace/serve-plain.txt" "$WORK/trace/serve-traced.txt" || {
+  echo "FAIL: --trace-out changed serve's stdout"; exit 1; }
+dune exec bin/mdabench.exe -- trace --replay "$WORK/trace/serve.jsonl" >/dev/null || {
+  echo "FAIL: replay gate failed for serve"; exit 1; }
 # every mechanism's trace must replay to the exact recorded statistics
 for MECH in direct static dynamic eh dpeh sa aot; do
   dune exec bin/mdabench.exe -- trace 410.bwaves -m "$MECH" --scale 0.05 \

@@ -111,16 +111,6 @@ let emit t insns =
   t.len <- start + n;
   start
 
-(* Append the first [len] instructions of [src] in one blit; returns the
-   pc of the first one. The single-pass emitter's whole block lands in
-   the cache through this. *)
-let emit_blit t src ~len =
-  ensure t len;
-  let start = t.len in
-  Array.blit src 0 t.code start len;
-  t.len <- start + len;
-  start
-
 let fetch t pc =
   if pc < 0 || pc >= t.len then
     raise (Mda_machine.Cpu.Fatal (Printf.sprintf "code-cache fetch out of range: %d" pc));

@@ -57,10 +57,6 @@ val flush : t -> unit
 (** Append instructions; returns the pc of the first. *)
 val emit : t -> H.insn list -> int
 
-(** [emit_blit t src ~len] appends the first [len] instructions of
-    [src] in one array blit; returns the pc of the first. *)
-val emit_blit : t -> H.insn array -> len:int -> int
-
 (** [reserve t n] grows the backing store to at least [n] slots without
     publishing anything. The single-pass translator emits each block
     directly into the store past [length t], then commits it with

@@ -54,6 +54,60 @@ type t = {
   dcache_misses : int;
 }
 
+(* The numeric fields, declared once. Every serializer, accumulator and
+   replay check below (and in lib/server and lib/obs) is derived from
+   this table, so a new statistic is one row here plus its field in [t]
+   and in [zero].
+   Values pass through as int64; [wide] marks the fields that are int64
+   in [t] (the rest are int). *)
+type field = { name : string; wide : bool; get : t -> int64; set : t -> int64 -> t }
+
+let i64 name get set = { name; wide = true; get; set }
+
+let int name get set =
+  { name; wide = false; get = (fun t -> Int64.of_int (get t));
+    set = (fun t v -> set t (Int64.to_int v)) }
+
+(* Row order is the [to_kv] order, and so part of the on-disk format. *)
+let fields =
+  [ i64 "cycles" (fun t -> t.cycles) (fun t cycles -> { t with cycles });
+    i64 "guest_insns" (fun t -> t.guest_insns) (fun t guest_insns -> { t with guest_insns });
+    i64 "interp_insns" (fun t -> t.interp_insns) (fun t interp_insns -> { t with interp_insns });
+    i64 "host_insns" (fun t -> t.host_insns) (fun t host_insns -> { t with host_insns });
+    i64 "memrefs" (fun t -> t.memrefs) (fun t memrefs -> { t with memrefs });
+    i64 "mdas" (fun t -> t.mdas) (fun t mdas -> { t with mdas });
+    i64 "traps" (fun t -> t.traps) (fun t traps -> { t with traps });
+    int "patches" (fun t -> t.patches) (fun t patches -> { t with patches });
+    int "translations" (fun t -> t.translations) (fun t translations -> { t with translations });
+    int "retranslations" (fun t -> t.retranslations) (fun t retranslations ->
+        { t with retranslations });
+    int "rearrangements" (fun t -> t.rearrangements) (fun t rearrangements ->
+        { t with rearrangements });
+    int "chains" (fun t -> t.chains) (fun t chains -> { t with chains });
+    int "evictions" (fun t -> t.evictions) (fun t evictions -> { t with evictions });
+    int "patch_faults" (fun t -> t.patch_faults) (fun t patch_faults -> { t with patch_faults });
+    int "degraded" (fun t -> t.degraded) (fun t degraded -> { t with degraded });
+    int "blocks" (fun t -> t.blocks) (fun t blocks -> { t with blocks });
+    int "code_len" (fun t -> t.code_len) (fun t code_len -> { t with code_len });
+    int "icache_misses" (fun t -> t.icache_misses) (fun t icache_misses ->
+        { t with icache_misses });
+    int "dcache_misses" (fun t -> t.dcache_misses) (fun t dcache_misses ->
+        { t with dcache_misses }) ]
+
+let field name =
+  match List.find_opt (fun f -> f.name = name) fields with
+  | Some f -> f
+  | None -> invalid_arg ("Run_stats.field: no field " ^ name)
+
+let zero ~mechanism ~stop =
+  { mechanism; stop; cycles = 0L; guest_insns = 0L; interp_insns = 0L; host_insns = 0L;
+    memrefs = 0L; mdas = 0L; traps = 0L; patches = 0; translations = 0; retranslations = 0;
+    rearrangements = 0; chains = 0; evictions = 0; patch_faults = 0; degraded = 0;
+    blocks = 0; code_len = 0; icache_misses = 0; dcache_misses = 0 }
+
+let add a b =
+  List.fold_left (fun t f -> f.set t (Int64.add (f.get a) (f.get b))) a fields
+
 (* Stable key=value serialization, the persistent result cache's on-disk
    format. Field order is part of the format; bump the [format_version]
    when it changes so stale cache entries are rejected, not misparsed. *)
@@ -64,27 +118,9 @@ type t = {
 let format_version = 4
 
 let to_kv t =
-  [ ("mechanism", t.mechanism);
-    ("stop", stop_reason_to_string t.stop);
-    ("cycles", Int64.to_string t.cycles);
-    ("guest_insns", Int64.to_string t.guest_insns);
-    ("interp_insns", Int64.to_string t.interp_insns);
-    ("host_insns", Int64.to_string t.host_insns);
-    ("memrefs", Int64.to_string t.memrefs);
-    ("mdas", Int64.to_string t.mdas);
-    ("traps", Int64.to_string t.traps);
-    ("patches", string_of_int t.patches);
-    ("translations", string_of_int t.translations);
-    ("retranslations", string_of_int t.retranslations);
-    ("rearrangements", string_of_int t.rearrangements);
-    ("chains", string_of_int t.chains);
-    ("evictions", string_of_int t.evictions);
-    ("patch_faults", string_of_int t.patch_faults);
-    ("degraded", string_of_int t.degraded);
-    ("blocks", string_of_int t.blocks);
-    ("code_len", string_of_int t.code_len);
-    ("icache_misses", string_of_int t.icache_misses);
-    ("dcache_misses", string_of_int t.dcache_misses) ]
+  ("mechanism", t.mechanism)
+  :: ("stop", stop_reason_to_string t.stop)
+  :: List.map (fun f -> (f.name, Int64.to_string (f.get t))) fields
 
 (* Pure-result parser: every failure mode — missing key, garbled value,
    unknown stop reason — is an [Error], never an escaping exception, so
@@ -97,43 +133,26 @@ let of_kv kvs =
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "missing field %S" k)
   in
-  let i64 k =
-    let* v = lookup k in
-    match Int64.of_string_opt v with
+  let number f =
+    let* v = lookup f.name in
+    let n =
+      if f.wide then Int64.of_string_opt v else Option.map Int64.of_int (int_of_string_opt v)
+    in
+    match n with
     | Some n -> Ok n
-    | None -> Error (Printf.sprintf "field %S: malformed int64 %S" k v)
-  in
-  let int k =
-    let* v = lookup k in
-    match int_of_string_opt v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "field %S: malformed int %S" k v)
+    | None ->
+      Error
+        (Printf.sprintf "field %S: malformed %s %S" f.name (if f.wide then "int64" else "int") v)
   in
   let* mechanism = lookup "mechanism" in
   let* stop = Result.bind (lookup "stop") stop_reason_of_string in
-  let* cycles = i64 "cycles" in
-  let* guest_insns = i64 "guest_insns" in
-  let* interp_insns = i64 "interp_insns" in
-  let* host_insns = i64 "host_insns" in
-  let* memrefs = i64 "memrefs" in
-  let* mdas = i64 "mdas" in
-  let* traps = i64 "traps" in
-  let* patches = int "patches" in
-  let* translations = int "translations" in
-  let* retranslations = int "retranslations" in
-  let* rearrangements = int "rearrangements" in
-  let* chains = int "chains" in
-  let* evictions = int "evictions" in
-  let* patch_faults = int "patch_faults" in
-  let* degraded = int "degraded" in
-  let* blocks = int "blocks" in
-  let* code_len = int "code_len" in
-  let* icache_misses = int "icache_misses" in
-  let* dcache_misses = int "dcache_misses" in
-  Ok
-    { mechanism; stop; cycles; guest_insns; interp_insns; host_insns; memrefs; mdas;
-      traps; patches; translations; retranslations; rearrangements; chains; evictions;
-      patch_faults; degraded; blocks; code_len; icache_misses; dcache_misses }
+  List.fold_left
+    (fun acc f ->
+      let* t = acc in
+      let* n = number f in
+      Ok (f.set t n))
+    (Ok (zero ~mechanism ~stop))
+    fields
 
 let pp fmt t =
   Format.fprintf fmt

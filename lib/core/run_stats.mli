@@ -44,6 +44,21 @@ type t = {
 
 val pp : Format.formatter -> t -> unit
 
+(** One numeric field of [t]: its [to_kv] key and an int64 view of it
+    ([wide] is true for the fields that are int64 in [t]). *)
+type field = { name : string; wide : bool; get : t -> int64; set : t -> int64 -> t }
+
+(** The numeric field with this [to_kv] key (each is declared once, in
+    [to_kv] order); raises [Invalid_argument] if there is none. *)
+val field : string -> field
+
+(** All numeric fields zero. *)
+val zero : mechanism:string -> stop:stop_reason -> t
+
+(** Field-wise sum of the numeric fields; [mechanism] and [stop] come
+    from the first argument. *)
+val add : t -> t -> t
+
 (** Stable key=value serialization for the persistent result cache.
     [of_kv (to_kv t) = Ok t]; unknown pairs are ignored, missing or
     malformed fields yield [Error]. *)

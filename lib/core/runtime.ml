@@ -647,30 +647,17 @@ let interpret_program ?(mode = Interp.Interpreted { profile = true })
     | Interp.Halted -> halted := true
   done;
   let stats : Run_stats.t =
-    { mechanism = (match mode with Interp.Native -> "native-x86" | _ -> "interpreter");
-      stop = (if !halted then Run_stats.Halted else Run_stats.Insn_limit);
+    { (Run_stats.zero
+         ~mechanism:(match mode with Interp.Native -> "native-x86" | _ -> "interpreter")
+         ~stop:(if !halted then Run_stats.Halted else Run_stats.Insn_limit))
+      with
       cycles = cpu.Machine.Cpu.cycles;
       guest_insns = !guest_insns;
       interp_insns = !guest_insns;
-      host_insns = 0L;
       memrefs = !memrefs;
       mdas = !mdas;
-      traps = 0L;
-      patches = 0;
-      translations = 0;
-      retranslations = 0;
-      rearrangements = 0;
-      chains = 0;
-      evictions = 0;
-      patch_faults = 0;
-      degraded = 0;
       blocks = Hashtbl.length blocks;
-      code_len = 0;
-      icache_misses = 0;
-      dcache_misses =
-        (match Machine.Hierarchy.stats hier with
-        | _ :: ("l1d", _, m) :: _ -> m
-        | _ -> 0) }
+      dcache_misses = snd (Machine.Cache.stats hier.Machine.Hierarchy.l1d) }
   in
   (stats, profile)
 
@@ -678,38 +665,29 @@ let interpret_program ?(mode = Interp.Interpreted { profile = true })
    naming why execution stopped. [run] calls this once at the end; a
    step-resumable session (lib/server) may call it whenever its slice
    loop parks the runtime at a dispatch boundary. *)
-let stats t ~(stop : Run_stats.stop_reason) =
-  let c = t.counters in
-  let stats : Run_stats.t =
-    { mechanism = Mechanism.name t.config.mechanism;
-      stop;
-      cycles = t.cpu.Machine.Cpu.cycles;
-      guest_insns = total_guest_insns t;
-      interp_insns = Counters.get c Counters.Interp_insns;
-      host_insns = t.cpu.Machine.Cpu.insns;
-      memrefs = Counters.get c Counters.Memrefs;
-      mdas = Counters.get c Counters.Mdas;
-      traps = t.cpu.Machine.Cpu.align_traps;
-      patches = Counters.geti c Counters.Handler_patches;
-      translations = Counters.geti c Counters.Translations;
-      retranslations = Counters.geti c Counters.Retranslations;
-      rearrangements = Counters.geti c Counters.Rearrangements;
-      chains = Counters.geti c Counters.Chains;
-      evictions = Counters.geti c Counters.Evictions;
-      patch_faults = Counters.geti c Counters.Patch_faults;
-      degraded = Counters.geti c Counters.Degrades;
-      blocks = Code_cache.num_blocks t.cache;
-      code_len = Code_cache.length t.cache;
-      icache_misses =
-        (match Machine.Hierarchy.stats t.cpu.Machine.Cpu.hier with
-        | ("l1i", _, m) :: _ -> m
-        | _ -> 0);
-      dcache_misses =
-        (match Machine.Hierarchy.stats t.cpu.Machine.Cpu.hier with
-        | _ :: ("l1d", _, m) :: _ -> m
-        | _ -> 0) }
-  in
-  stats
+let stats t ~(stop : Run_stats.stop_reason) : Run_stats.t =
+  let c = t.counters and hier = t.cpu.Machine.Cpu.hier in
+  { mechanism = Mechanism.name t.config.mechanism;
+    stop;
+    cycles = t.cpu.Machine.Cpu.cycles;
+    guest_insns = total_guest_insns t;
+    interp_insns = Counters.get c Counters.Interp_insns;
+    host_insns = t.cpu.Machine.Cpu.insns;
+    memrefs = Counters.get c Counters.Memrefs;
+    mdas = Counters.get c Counters.Mdas;
+    traps = t.cpu.Machine.Cpu.align_traps;
+    patches = Counters.geti c Counters.Handler_patches;
+    translations = Counters.geti c Counters.Translations;
+    retranslations = Counters.geti c Counters.Retranslations;
+    rearrangements = Counters.geti c Counters.Rearrangements;
+    chains = Counters.geti c Counters.Chains;
+    evictions = Counters.geti c Counters.Evictions;
+    patch_faults = Counters.geti c Counters.Patch_faults;
+    degraded = Counters.geti c Counters.Degrades;
+    blocks = Code_cache.num_blocks t.cache;
+    code_len = Code_cache.length t.cache;
+    icache_misses = snd (Machine.Cache.stats hier.Machine.Hierarchy.l1i);
+    dcache_misses = snd (Machine.Cache.stats hier.Machine.Hierarchy.l1d) }
 
 (* Run the guest program from [entry] to completion (guest Halt), the
    guest-instruction bound, or fuel exhaustion. The runaway-code guard

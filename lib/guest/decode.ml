@@ -129,11 +129,6 @@ let decode bytes ~pos =
     | op -> raise (Fail (Printf.sprintf "bad opcode %#x" op))
   with Fail reason -> Error { offset = pos; reason }
 
-let decode_exn bytes ~pos =
-  match decode bytes ~pos with
-  | Ok r -> r
-  | Error e -> failwith (Format.asprintf "%a" pp_error e)
-
 (* Decode a full image into an instruction list with their offsets. *)
 let decode_all bytes =
   let rec go pos acc =

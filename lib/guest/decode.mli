@@ -12,8 +12,5 @@ val pp_error : Format.formatter -> error -> unit
     on success returns it with the position just past it. *)
 val decode : Bytes.t -> pos:int -> (Isa.insn * int, error) result
 
-(** Like {!decode} but raises [Failure] on error. *)
-val decode_exn : Bytes.t -> pos:int -> Isa.insn * int
-
 (** Decode a whole image into [(offset, instruction)] pairs. *)
 val decode_all : Bytes.t -> ((int * Isa.insn) list, error) result

@@ -75,8 +75,6 @@ let best_eh = Spec.plain best_eh_spec
 
 let best_dpeh = Spec.plain best_dpeh_spec
 
-let dpeh_plain = Spec.plain dpeh_plain_spec
-
 let cycles (s : Bt.Run_stats.t) = Int64.to_float s.cycles
 
 (* Normalized runtime: value / baseline (paper convention: >1 is slower

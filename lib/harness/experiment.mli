@@ -71,8 +71,6 @@ val best_eh : Mda_bt.Mechanism.t
 
 val best_dpeh : Mda_bt.Mechanism.t
 
-val dpeh_plain : Mda_bt.Mechanism.t
-
 (** The same best configurations as {!Cell.mech_spec} values. *)
 
 val best_dynamic_spec : Cell.mech_spec

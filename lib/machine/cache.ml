@@ -84,7 +84,3 @@ let invalidate_all t =
   Array.fill t.lru 0 (Array.length t.lru) 0
 
 let stats t = (t.hits, t.misses)
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

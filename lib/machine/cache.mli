@@ -23,7 +23,5 @@ val lines_touched : t -> addr:int -> size:int -> int list
 
 val invalidate_all : t -> unit
 
-(** (hits, misses) since creation or the last {!reset_stats}. *)
+(** (hits, misses) since creation. *)
 val stats : t -> int * int
-
-val reset_stats : t -> unit

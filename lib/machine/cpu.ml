@@ -59,8 +59,6 @@ let create ?(code_base = 0x0100_0000) ~mem ~hier ~cost () =
 
 let set_handler t h = t.handler <- Some h
 
-let clear_handler t = t.handler <- None
-
 let get t r = if r = H.r31 then 0L else t.regs.(r)
 
 let set t r v = if r <> H.r31 then t.regs.(r) <- v
@@ -246,9 +244,3 @@ let run t ~fetch ~entry ~fuel =
     end
   done;
   match !result with Some r -> r | None -> assert false
-
-let reset_counters t =
-  t.cycles <- 0L;
-  t.insns <- 0L;
-  t.mem_ops <- 0L;
-  t.align_traps <- 0L

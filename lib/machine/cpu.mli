@@ -42,8 +42,6 @@ val create :
 (** Register the misalignment handler (the BT runtime's entry point). *)
 val set_handler : t -> (pc:int -> addr:int -> Mda_host.Isa.insn -> trap_action) -> unit
 
-val clear_handler : t -> unit
-
 (** Architectural register access; R31 is hardwired to zero. *)
 val get : t -> Mda_host.Isa.reg -> int64
 
@@ -65,5 +63,3 @@ val now : t -> int64
     handler raise {!Fatal}. *)
 val run :
   t -> fetch:(int -> Mda_host.Isa.insn) -> entry:int -> fuel:int -> exit_reason * int
-
-val reset_counters : t -> unit

@@ -36,18 +36,4 @@ let access_data t ~addr ~size =
 
 let access_code t ~addr = access_through t t.l1i addr
 
-(* Number of data lines an access touches (1 or 2). *)
-let data_lines t ~addr ~size = List.length (Cache.lines_touched t.l1d ~addr ~size)
-
 let invalidate_code t = Cache.invalidate_all t.l1i
-
-let stats t =
-  let i_h, i_m = Cache.stats t.l1i in
-  let d_h, d_m = Cache.stats t.l1d in
-  let l2_h, l2_m = Cache.stats t.l2 in
-  [ ("l1i", i_h, i_m); ("l1d", d_h, d_m); ("l2", l2_h, l2_m) ]
-
-let reset_stats t =
-  Cache.reset_stats t.l1i;
-  Cache.reset_stats t.l1d;
-  Cache.reset_stats t.l2

@@ -19,12 +19,4 @@ val access_data : t -> addr:int -> size:int -> int
 (** Stall cycles for an instruction fetch. *)
 val access_code : t -> addr:int -> int
 
-(** Number of data-cache lines the access touches (1 or 2). *)
-val data_lines : t -> addr:int -> size:int -> int
-
 val invalidate_code : t -> unit
-
-(** [(name, hits, misses)] per level. *)
-val stats : t -> (string * int * int) list
-
-val reset_stats : t -> unit

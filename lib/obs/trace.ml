@@ -358,44 +358,39 @@ let of_jsonl text =
 
 (* --- replay ------------------------------------------------------------- *)
 
-(* Reconstruct the run's [Run_stats.t] from the trace: the counters the
-   event stream determines are recomputed from the events; everything
-   else (cycle totals, instruction counts, cache geometry) comes from
-   the footer. The reconstruction must agree with the recorded stats
-   exactly, or the trace does not describe the run it claims to. *)
+(* The footer fields the event stream determines, each with the events
+   it counts. *)
+let derived_fields =
+  let open Bt.Runtime in
+  List.map
+    (fun (name, p) -> (Bt.Run_stats.field name, p))
+    [ ("translations", function Ev_translate _ -> true | _ -> false);
+      ("retranslations", function Ev_retranslate _ -> true | _ -> false);
+      ("rearrangements", function Ev_rearrange _ -> true | _ -> false);
+      ("chains", function Ev_chain _ -> true | _ -> false);
+      ("patches", function Ev_patch _ -> true | _ -> false);
+      ("evictions", function Ev_evict _ -> true | _ -> false);
+      ("patch_faults", function Ev_patch_fault _ -> true | _ -> false);
+      ("degraded", function Ev_degrade _ -> true | _ -> false);
+      ("traps", function Ev_trap _ | Ev_os_fixup _ -> true | _ -> false) ]
+
+(* Check the run's [Run_stats.t] against the trace: every counter the
+   event stream determines is recounted from the events; everything else
+   (cycle totals, instruction counts, cache geometry) is the footer's.
+   The recount must agree with the recorded stats exactly, or the trace
+   does not describe the run it claims to. *)
 let replay (f : file) =
-  let count p = List.length (List.filter (fun r -> p r.ev) f.events) in
-  let derived : Bt.Run_stats.t =
-    { f.stats with
-      translations = count (function Bt.Runtime.Ev_translate _ -> true | _ -> false);
-      retranslations = count (function Bt.Runtime.Ev_retranslate _ -> true | _ -> false);
-      rearrangements = count (function Bt.Runtime.Ev_rearrange _ -> true | _ -> false);
-      chains = count (function Bt.Runtime.Ev_chain _ -> true | _ -> false);
-      patches = count (function Bt.Runtime.Ev_patch _ -> true | _ -> false);
-      evictions = count (function Bt.Runtime.Ev_evict _ -> true | _ -> false);
-      patch_faults = count (function Bt.Runtime.Ev_patch_fault _ -> true | _ -> false);
-      degraded = count (function Bt.Runtime.Ev_degrade _ -> true | _ -> false);
-      traps =
-        Int64.of_int
-          (count (function Bt.Runtime.Ev_trap _ | Bt.Runtime.Ev_os_fixup _ -> true | _ -> false))
-    }
+  let diffs =
+    List.filter_map
+      (fun ((stat : Bt.Run_stats.field), p) ->
+        let got = List.length (List.filter (fun r -> p r.ev) f.events) in
+        let want = stat.get f.stats in
+        if Int64.of_int got = want then None
+        else Some (Printf.sprintf "%s: events say %d, stats say %Ld" stat.name got want))
+      derived_fields
   in
-  if derived = f.stats then Ok derived
-  else begin
-    let mism name got want = if got = want then [] else [ Printf.sprintf "%s: events say %d, stats say %d" name got want ] in
-    let diffs =
-      mism "translations" derived.translations f.stats.translations
-      @ mism "retranslations" derived.retranslations f.stats.retranslations
-      @ mism "rearrangements" derived.rearrangements f.stats.rearrangements
-      @ mism "chains" derived.chains f.stats.chains
-      @ mism "patches" derived.patches f.stats.patches
-      @ mism "evictions" derived.evictions f.stats.evictions
-      @ mism "patch_faults" derived.patch_faults f.stats.patch_faults
-      @ mism "degraded" derived.degraded f.stats.degraded
-      @ mism "traps" (Int64.to_int derived.traps) (Int64.to_int f.stats.traps)
-    in
-    Error ("replay mismatch: " ^ String.concat "; " diffs)
-  end
+  if diffs = [] then Ok f.stats
+  else Error ("replay mismatch: " ^ String.concat "; " diffs)
 
 (* --- filtering ---------------------------------------------------------- *)
 

@@ -80,8 +80,9 @@ val of_jsonl : string -> (file, string) result
 val replay : file -> (Mda_bt.Run_stats.t, string) result
 (** Reconstruct the run's statistics from the trace. The event-derived
     counters (translations, retranslations, rearrangements, chains,
-    patches, traps = traps + OS fixups) are recomputed from the event
-    lines and must equal the recorded end record — the event stream is
+    patches, evictions, patch faults, degraded sites, and traps = traps
+    + OS fixups) are recomputed from the event lines and must equal the
+    recorded end record — the event stream is
     itself a tested invariant. Scalar fields the events cannot determine
     (cycles, instruction counts, cache geometry) come from the end
     record. On success the result is byte-identical to [file.stats]. *)

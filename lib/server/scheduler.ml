@@ -103,60 +103,15 @@ type outcome = {
   shared : Shared_cache.t;
 }
 
-(* Per-incarnation statistics folded into the session's running totals
-   whenever an incarnation ends (and, for still-live sessions, at the
-   very end of the run). *)
-type acc = {
-  mutable a_cycles : int64;
-  mutable a_guest : int64;
-  mutable a_interp : int64;
-  mutable a_host : int64;
-  mutable a_memrefs : int64;
-  mutable a_mdas : int64;
-  mutable a_traps : int64;
-  mutable a_translations : int;
-  mutable a_retranslations : int;
-  mutable a_rearrangements : int;
-  mutable a_chains : int;
-  mutable a_patches : int;
-  mutable a_patch_faults : int;
-  mutable a_degraded : int;
-  mutable a_evictions : int;
-  mutable a_icache : int;
-  mutable a_dcache : int;
-  mutable a_dispatches : int;
-  mutable a_hits : int;
-}
-
-let acc_zero () =
-  {
-    a_cycles = 0L;
-    a_guest = 0L;
-    a_interp = 0L;
-    a_host = 0L;
-    a_memrefs = 0L;
-    a_mdas = 0L;
-    a_traps = 0L;
-    a_translations = 0;
-    a_retranslations = 0;
-    a_rearrangements = 0;
-    a_chains = 0;
-    a_patches = 0;
-    a_patch_faults = 0;
-    a_degraded = 0;
-    a_evictions = 0;
-    a_icache = 0;
-    a_dcache = 0;
-    a_dispatches = 0;
-    a_hits = 0;
-  }
-
 type state = Waiting | Queued | Live | Backoff | Done
 
 type managed = {
   m_spec : spec;
   m_sid : int;
-  acc : acc;
+  (* every ended incarnation's statistics, summed *)
+  mutable m_stats : Bt.Run_stats.t;
+  mutable m_dispatches : int;
+  mutable m_hits : int;
   mutable m_sess : Session.t option;
   mutable m_state : state;
   mutable m_restarts : int;
@@ -174,34 +129,14 @@ type tstate = {
   mutable evicted : int;  (* this tenant's blocks evicted *)
 }
 
+let no_stats = Bt.Run_stats.zero ~mechanism:"" ~stop:Bt.Run_stats.Halted
+
+(* Fold an ended (or, at the very end of the run, still-live)
+   incarnation into the session's running totals. *)
 let absorb m (s : Session.t) =
-  let rt = s.Session.rt in
-  let cpu = rt.Bt.Runtime.cpu in
-  let c = Bt.Runtime.counters rt in
-  let a = m.acc in
-  let gi id = Bt.Counters.geti c id in
-  a.a_cycles <- Int64.add a.a_cycles cpu.Machine.Cpu.cycles;
-  a.a_guest <- Int64.add a.a_guest (Bt.Runtime.total_guest_insns rt);
-  a.a_interp <- Int64.add a.a_interp (Bt.Counters.get c Bt.Counters.Interp_insns);
-  a.a_host <- Int64.add a.a_host cpu.Machine.Cpu.insns;
-  a.a_memrefs <- Int64.add a.a_memrefs (Bt.Counters.get c Bt.Counters.Memrefs);
-  a.a_mdas <- Int64.add a.a_mdas (Bt.Counters.get c Bt.Counters.Mdas);
-  a.a_traps <- Int64.add a.a_traps cpu.Machine.Cpu.align_traps;
-  a.a_translations <- a.a_translations + gi Bt.Counters.Translations;
-  a.a_retranslations <- a.a_retranslations + gi Bt.Counters.Retranslations;
-  a.a_rearrangements <- a.a_rearrangements + gi Bt.Counters.Rearrangements;
-  a.a_chains <- a.a_chains + gi Bt.Counters.Chains;
-  a.a_patches <- a.a_patches + gi Bt.Counters.Handler_patches;
-  a.a_patch_faults <- a.a_patch_faults + gi Bt.Counters.Patch_faults;
-  a.a_degraded <- a.a_degraded + gi Bt.Counters.Degrades;
-  a.a_evictions <- a.a_evictions + gi Bt.Counters.Evictions;
-  (match Machine.Hierarchy.stats cpu.Machine.Cpu.hier with
-  | ("l1i", _, mi) :: ("l1d", _, md) :: _ ->
-    a.a_icache <- a.a_icache + mi;
-    a.a_dcache <- a.a_dcache + md
-  | _ -> ());
-  a.a_dispatches <- a.a_dispatches + s.Session.dispatches;
-  a.a_hits <- a.a_hits + s.Session.hits
+  m.m_stats <- Bt.Run_stats.add m.m_stats (Session.stats s);
+  m.m_dispatches <- m.m_dispatches + s.Session.dispatches;
+  m.m_hits <- m.m_hits + s.Session.hits
 
 let validate cfg specs ~tenants =
   if cfg.max_live < 1 then invalid_arg "Scheduler: max_live must be >= 1";
@@ -252,7 +187,9 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
         {
           m_spec = s;
           m_sid = sid;
-          acc = acc_zero ();
+          m_stats = no_stats;
+          m_dispatches = 0;
+          m_hits = 0;
           m_sess = None;
           m_state = Waiting;
           m_restarts = 0;
@@ -459,47 +396,49 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
   let session_reports =
     List.map
       (fun m ->
-        let a = m.acc in
+        let st = m.m_stats in
         {
           sid = m.m_sid;
           s_tid = m.m_spec.tid;
           decision = (match m.m_decision with Some d -> d | None -> Rejected);
           status = m.m_final;
           restarts = m.m_restarts;
-          dispatches = a.a_dispatches;
-          hits = a.a_hits;
-          guest_insns = a.a_guest;
-          cycles = a.a_cycles;
-          traps = a.a_traps;
-          translations = a.a_translations;
-          patches = a.a_patches;
-          patch_faults = a.a_patch_faults;
+          dispatches = m.m_dispatches;
+          hits = m.m_hits;
+          guest_insns = st.guest_insns;
+          cycles = st.cycles;
+          traps = st.traps;
+          translations = st.translations;
+          patches = st.patches;
+          patch_faults = st.patch_faults;
         })
       managed
   in
+  let sum ms = List.fold_left (fun s m -> Bt.Run_stats.add s m.m_stats) no_stats ms in
   let tenant_reports =
     List.init ntenants (fun tid ->
         let mine = List.filter (fun m -> m.m_spec.tid = tid) managed in
-        let sum f = List.fold_left (fun s m -> Int64.add s (f m.acc)) 0L mine in
-        let sumi f = List.fold_left (fun s m -> s + f m.acc) 0 mine in
+        let st = sum mine in
+        let sumi f = List.fold_left (fun s m -> s + f m) 0 mine in
         let count p = List.length (List.filter p mine) in
         {
           t_tid = tid;
           submissions = List.length mine;
           demoted = tstates.(tid).demoted;
-          t_guest_insns = sum (fun a -> a.a_guest);
-          t_cycles = sum (fun a -> a.a_cycles);
-          t_traps = sum (fun a -> a.a_traps);
-          t_translations = sumi (fun a -> a.a_translations);
+          t_guest_insns = st.guest_insns;
+          t_cycles = st.cycles;
+          t_traps = st.traps;
+          t_translations = st.translations;
           evictions_suffered = tstates.(tid).evicted;
-          t_dispatches = sumi (fun a -> a.a_dispatches);
-          t_hits = sumi (fun a -> a.a_hits);
-          t_restarts = List.fold_left (fun s m -> s + m.m_restarts) 0 mine;
+          t_dispatches = sumi (fun m -> m.m_dispatches);
+          t_hits = sumi (fun m -> m.m_hits);
+          t_restarts = sumi (fun m -> m.m_restarts);
           rejected = count (fun m -> m.m_decision = Some Rejected);
           deferred = count (fun m -> m.m_decision = Some Deferred);
         })
   in
   let cache = Shared_cache.cache shared in
+  let total = sum managed in
   let report =
     {
       rounds = !round;
@@ -512,42 +451,23 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
       evictions = Shared_cache.evictions shared;
       p99_trap_cycles = p99 !latencies;
       max_backoff_used = !max_backoff_used;
-      total_cycles =
-        List.fold_left (fun s m -> Int64.add s m.acc.a_cycles) 0L managed;
-      total_guest_insns =
-        List.fold_left (fun s m -> Int64.add s m.acc.a_guest) 0L managed;
+      total_cycles = total.cycles;
+      total_guest_insns = total.guest_insns;
       cache_live_insns = Bt.Code_cache.live_insns cache;
       cache_blocks = Bt.Code_cache.num_blocks cache;
     }
   in
-  let suml f = List.fold_left (fun s m -> Int64.add s (f m.acc)) 0L managed in
-  let sumi f = List.fold_left (fun s m -> s + f m.acc) 0 managed in
-  let agg_stats : Bt.Run_stats.t =
+  let agg_stats =
     {
+      total with
       mechanism =
         (match specs with
         | s :: _ -> Bt.Mechanism.name s.config.Bt.Runtime.mechanism
         | [] -> "none");
       stop = Bt.Run_stats.Halted;
-      cycles = report.total_cycles;
-      guest_insns = report.total_guest_insns;
-      interp_insns = suml (fun a -> a.a_interp);
-      host_insns = suml (fun a -> a.a_host);
-      memrefs = suml (fun a -> a.a_memrefs);
-      mdas = suml (fun a -> a.a_mdas);
-      traps = suml (fun a -> a.a_traps);
-      patches = sumi (fun a -> a.a_patches);
-      translations = sumi (fun a -> a.a_translations);
-      retranslations = sumi (fun a -> a.a_retranslations);
-      rearrangements = sumi (fun a -> a.a_rearrangements);
-      chains = sumi (fun a -> a.a_chains);
-      evictions = sumi (fun a -> a.a_evictions) + Shared_cache.evictions shared;
-      patch_faults = sumi (fun a -> a.a_patch_faults);
-      degraded = sumi (fun a -> a.a_degraded);
+      evictions = total.evictions + Shared_cache.evictions shared;
       blocks = Bt.Code_cache.num_blocks cache;
       code_len = Bt.Code_cache.length cache;
-      icache_misses = sumi (fun a -> a.a_icache);
-      dcache_misses = sumi (fun a -> a.a_dcache);
     }
   in
   {

@@ -283,6 +283,39 @@ let test_unwritable_dir_degrades () =
   Alcotest.(check bool) "store swallowed, find misses" true
     (H.Result_cache.find cache cell = None)
 
+(* Every numeric field distinct, so a row that reads or writes the wrong
+   field shows. *)
+let distinct : Bt.Run_stats.t =
+  { mechanism = "probe"; stop = Bt.Run_stats.Halted; cycles = 1L; guest_insns = 2L;
+    interp_insns = 3L; host_insns = 4L; memrefs = 5L; mdas = 6L; traps = 7L; patches = 8;
+    translations = 9; retranslations = 10; rearrangements = 11; chains = 12; evictions = 13;
+    patch_faults = 14; degraded = 15; blocks = 16; code_len = 17; icache_misses = 18;
+    dcache_misses = 19 }
+
+(* [Run_stats.to_kv]'s key order is the on-disk format of this cache and
+   of the trace footer, and [Run_stats]' field table is what fixes it. *)
+let test_run_stats_fields () =
+  Alcotest.(check (list (pair string string)))
+    "to_kv keys, in order, each with its own field"
+    [ ("mechanism", "probe"); ("stop", "halt"); ("cycles", "1"); ("guest_insns", "2");
+      ("interp_insns", "3"); ("host_insns", "4"); ("memrefs", "5"); ("mdas", "6");
+      ("traps", "7"); ("patches", "8"); ("translations", "9"); ("retranslations", "10");
+      ("rearrangements", "11"); ("chains", "12"); ("evictions", "13");
+      ("patch_faults", "14"); ("degraded", "15"); ("blocks", "16"); ("code_len", "17");
+      ("icache_misses", "18"); ("dcache_misses", "19") ]
+    (Bt.Run_stats.to_kv distinct);
+  Alcotest.(check bool) "of_kv inverts to_kv" true
+    (Bt.Run_stats.of_kv (Bt.Run_stats.to_kv distinct) = Ok distinct);
+  let zero = Bt.Run_stats.zero ~mechanism:"probe" ~stop:Bt.Run_stats.Halted in
+  Alcotest.(check bool) "add zero t = t" true (Bt.Run_stats.add zero distinct = distinct);
+  Alcotest.(check bool) "add t t doubles every numeric field" true
+    (Bt.Run_stats.add distinct distinct
+    = { distinct with
+        cycles = 2L; guest_insns = 4L; interp_insns = 6L; host_insns = 8L; memrefs = 10L;
+        mdas = 12L; traps = 14L; patches = 16; translations = 18; retranslations = 20;
+        rearrangements = 22; chains = 24; evictions = 26; patch_faults = 28; degraded = 30;
+        blocks = 32; code_len = 34; icache_misses = 36; dcache_misses = 38 })
+
 let suite =
   [ ( "result-cache",
       [ Alcotest.test_case "miss then hit" `Quick test_miss_then_hit;
@@ -290,6 +323,7 @@ let suite =
         Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
         Alcotest.test_case "corrupt entry = miss" `Quick test_corrupt_entry_is_a_miss;
         Alcotest.test_case "garbled values = Error" `Quick test_garbled_values_are_errors;
+        Alcotest.test_case "run-stats field table" `Quick test_run_stats_fields;
         Alcotest.test_case "exec recomputes after corruption" `Quick
           test_exec_recomputes_after_corruption;
         Alcotest.test_case "exec cache flow" `Quick test_exec_cache_flow;

@@ -94,20 +94,30 @@ let test_replay_reconstructs_all_mechanisms () =
 let test_tampered_trace_rejected () =
   let r, jsonl = H.Cell.compute_traced eh_cell in
   let is_error = function Error _ -> true | Ok _ -> false in
-  (* tamper 1: bump the recorded translation count in the end record —
-     the file still parses, replay must catch the disagreement *)
-  let n = r.H.Cell.stats.Bt.Run_stats.translations in
-  let tampered =
-    replace_once
-      ~sub:(Printf.sprintf {|"translations":"%d"|} n)
-      ~by:(Printf.sprintf {|"translations":"%d"|} (n + 1))
-      jsonl
-  in
-  (match Obs.Trace.of_jsonl tampered with
-  | Error e -> Alcotest.failf "tampered footer should still parse: %s" e
-  | Ok f ->
-    Alcotest.(check bool) "count disagreement caught by replay" true
-      (is_error (Obs.Trace.replay f)));
+  (* tamper 1: bump, one at a time, each end-record count the event
+     stream determines — the file still parses, replay must catch the
+     disagreement and name the field *)
+  let footer = Bt.Run_stats.to_kv r.H.Cell.stats in
+  List.iter
+    (fun name ->
+      let v = Int64.of_string (List.assoc name footer) in
+      let tampered =
+        replace_once
+          ~sub:(Printf.sprintf {|"%s":"%Ld"|} name v)
+          ~by:(Printf.sprintf {|"%s":"%Ld"|} name (Int64.succ v))
+          jsonl
+      in
+      match Obs.Trace.of_jsonl tampered with
+      | Error e -> Alcotest.failf "%s: tampered footer should still parse: %s" name e
+      | Ok f -> (
+        match Obs.Trace.replay f with
+        | Ok _ -> Alcotest.failf "%s: count disagreement not caught by replay" name
+        | Error e ->
+          Alcotest.(check bool)
+            (name ^ ": the error names the field") true
+            (contains ~sub:(name ^ ": events say") e)))
+    [ "translations"; "retranslations"; "rearrangements"; "chains"; "patches"; "evictions";
+      "patch_faults"; "degraded"; "traps" ];
   (* tamper 2: delete one event line — the header count disagrees *)
   let lines = String.split_on_char '\n' jsonl in
   let without_one_event =
