@@ -109,6 +109,11 @@ dune exec bin/mdabench.exe -- run 410.bwaves -m eh --scale 0.05 \
   --trace-out "$WORK/trace/run.jsonl" >"$WORK/trace/traced.txt" 2>/dev/null
 cmp "$WORK/trace/plain.txt" "$WORK/trace/traced.txt" || {
   echo "FAIL: --trace-out changed the run's stdout"; exit 1; }
+# the interpreter's trace has no events, but must still be written and replay
+dune exec bin/mdabench.exe -- run 410.bwaves -m interp --scale 0.05 \
+  --trace-out "$WORK/trace/interp.jsonl" >/dev/null 2>&1
+dune exec bin/mdabench.exe -- trace --replay "$WORK/trace/interp.jsonl" >/dev/null || {
+  echo "FAIL: replay gate failed for run -m interp"; exit 1; }
 # the same for serve, whose footer is the scheduler's aggregate statistics
 SERVE="serve --tenants 3 --sessions 2 --seed 42 --storm 2 --noisy 1"
 dune exec bin/mdabench.exe -- $SERVE >"$WORK/trace/serve-plain.txt" 2>/dev/null

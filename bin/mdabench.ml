@@ -343,8 +343,9 @@ let run_cmd =
   let run name mech scale threshold selfcheck validate corrupt trace rules =
     match mech with
     | Spec.Interp { native } ->
-      let s, _ = H.Experiment.run_interp ~scale ~native name in
-      Format.printf "%a@." Bt.Run_stats.pp s;
+      let stats = (H.Cell.compute (H.Cell.make ~scale mech name)).H.Cell.stats in
+      Option.iter (write_trace ~mechanism:(Spec.print_run mech) ~bench:name ~scale ~stats) trace;
+      Format.printf "%a@." Bt.Run_stats.pp stats;
       let mode = if native then "native" else "interpreter" in
       if selfcheck then
         Format.printf "selfcheck: nothing to check (no code cache in %s mode)@." mode;

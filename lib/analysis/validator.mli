@@ -36,12 +36,9 @@ type report = {
   seqs_checked : int; (** out-of-line MDA sequences linted *)
 }
 
-(** The proven violations: everything except ["budget"] bail-outs,
-    which only say the block was too large to check exhaustively. *)
-val hard_violations : report -> violation list
-
-(** No proven violation ([hard_violations] is empty — budget bail-outs
-    are reported but do not fail the check). *)
+(** No proven violation: every violation is a ["budget"] bail-out,
+    which only says the block was too large to check exhaustively —
+    reported, but not failing the check. *)
 val ok : report -> bool
 
 (** Number of soft ["budget"] bail-outs carried by the report — the

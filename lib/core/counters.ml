@@ -61,7 +61,7 @@ let all =
     (Admission_defers, "admission_defers",
      "session submissions deferred to the bounded run queue") ]
 
-let index = function
+let[@inline] index = function
   | Guest_insns -> 0
   | Interp_insns -> 1
   | Memrefs -> 2
@@ -88,30 +88,22 @@ let size = List.length all
 
 let () = assert (List.length (List.sort_uniq compare (List.map (fun (i, _, _) -> index i) all)) = size)
 
-let name id =
-  let rec go = function
-    | [] -> assert false
-    | (i, n, _) :: rest -> if i = id then n else go rest
-  in
-  go all
+(* Plain ints: 63 bits outlast any simulated run, and an int bump on the
+   interpreter's per-access path allocates nothing. [get] widens for the
+   readers whose fields are int64. *)
+type t = int array
 
-type t = int64 array
+let create () : t = Array.make size 0
 
-let create () : t = Array.make size 0L
+let geti (t : t) id = t.(index id)
 
-let get (t : t) id = t.(index id)
+let get (t : t) id = Int64.of_int (geti t id)
 
-(* Most stats are small enough for int; the registry stores int64 so the
-   exactly-counted instruction streams never wrap. *)
-let geti (t : t) id = Int64.to_int t.(index id)
+let addi (t : t) id v =
+  let i = index id in
+  t.(i) <- t.(i) + v
 
-let set (t : t) id v = t.(index id) <- v
-
-let add (t : t) id v = t.(index id) <- Int64.add t.(index id) v
-
-let addi (t : t) id v = add t id (Int64.of_int v)
-
-let incr (t : t) id = add t id 1L
+let incr (t : t) id = addi t id 1
 
 let to_alist (t : t) = List.map (fun (id, n, _) -> (n, get t id)) all
 

@@ -30,20 +30,14 @@ type id =
 (** The declared-once table: id, stable name, one-line description. *)
 val all : (id * string * string) list
 
-val name : id -> string
-
 type t
 
 val create : unit -> t
 
+(** The count widened to int64 (for the stats fields typed int64). *)
 val get : t -> id -> int64
 
-(** [get] truncated to int (for the stats fields typed int). *)
 val geti : t -> id -> int
-
-val set : t -> id -> int64 -> unit
-
-val add : t -> id -> int64 -> unit
 
 val addi : t -> id -> int -> unit
 

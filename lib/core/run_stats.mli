@@ -12,8 +12,6 @@ type stop_reason = Halted | Fuel_exhausted | Insn_limit | Aot_miss of { guest_ad
 
 val stop_reason_to_string : stop_reason -> string
 
-val stop_reason_of_string : string -> (stop_reason, string) result
-
 type t = {
   mechanism : string;
   stop : stop_reason;  (** why the run ended *)

@@ -506,19 +506,23 @@ let retranslate_block t (brec : Code_cache.block_rec) =
 
 (* --- execution -------------------------------------------------------- *)
 
-let interp_block t pc =
+(* The interpreter's memory observer: ground-truth reference and MDA
+   counts, plus the per-site alignment profile when [profiling]. *)
+let on_mem t ~profiling =
+  let c = t.counters and profile = t.profile in
+  fun (ev : Interp.mem_event) ->
+    Counters.incr c Counters.Memrefs;
+    if not ev.aligned then Counters.incr c Counters.Mdas;
+    if profiling then Profile.record profile ~guest_addr:ev.guest_addr ~aligned:ev.aligned
+
+(* Interpret the block at [pc] once. The one guest interpreter driver:
+   phase 1 of [step], and the whole of [interpret]. *)
+let interp_block t mode ~on_mem pc =
   let block = block_of t pc in
-  let mech = t.config.mechanism in
-  let profiling = Mechanism.profiles_alignment mech in
-  let on_mem (ev : Interp.mem_event) =
-    Counters.incr t.counters Counters.Memrefs;
-    if not ev.aligned then Counters.incr t.counters Counters.Mdas;
-    if profiling then Profile.record t.profile ~guest_addr:ev.guest_addr ~aligned:ev.aligned
-  in
   let n = Block.length block in
   Counters.addi t.counters Counters.Guest_insns n;
   Counters.addi t.counters Counters.Interp_insns n;
-  Interp.exec_block t.cpu (Interpreted { profile = profiling }) block ~on_mem
+  Interp.exec_block t.cpu mode block ~on_mem
 
 (* Chain an unchained Monitor exit into a direct branch when its target
    is (still) translated. *)
@@ -582,7 +586,9 @@ let step t pc =
     let threshold = Mechanism.heating_threshold t.config.mechanism in
     if brec.execs < threshold then begin
       brec.execs <- brec.execs + 1;
-      match interp_block t pc with
+      let profiling = Mechanism.profiles_alignment t.config.mechanism in
+      let mode = Interp.Interpreted { profile = profiling } in
+      match interp_block t mode ~on_mem:(on_mem t ~profiling) pc with
       | Interp.Fallthrough next -> `Continue next
       | Interp.Halted -> `Halt
     end
@@ -605,61 +611,6 @@ let translated_guest_estimate t =
 
 let total_guest_insns t =
   Int64.add (Counters.get t.counters Counters.Guest_insns) (translated_guest_estimate t)
-
-(* Pure-interpreter (or native-x86) execution of a whole guest program,
-   with full alignment profiling. This is the ground-truth engine behind
-   Table I ("how many MDAs does this program perform?"), Figure 15 (the
-   per-site alignment-bias histogram), the train-input runs that feed the
-   static-profiling mechanism, and — in [Native] mode — the
-   Figure-1 experiment of running the binary on MDA-tolerant X86
-   hardware. Returns the run statistics and the collected profile. *)
-let interpret_program ?(mode = Interp.Interpreted { profile = true })
-    ?(cost = Machine.Cost_model.default) ?(max_guest_insns = Int64.max_int) ~mem ~entry
-    () =
-  let hier = Machine.Hierarchy.create cost in
-  let cpu = Machine.Cpu.create ~code_base:Layout.code_cache_base ~mem ~hier ~cost () in
-  let profile = Profile.create () in
-  let blocks = Hashtbl.create 256 in
-  let block_at pc =
-    match Hashtbl.find_opt blocks pc with
-    | Some b -> b
-    | None -> begin
-      match Block.discover mem ~pc with
-      | Ok b ->
-        Hashtbl.replace blocks pc b;
-        b
-      | Error e -> fail "%s" (Format.asprintf "%a" Block.pp_error e)
-    end
-  in
-  let memrefs = ref 0L and mdas = ref 0L and guest_insns = ref 0L in
-  let on_mem (ev : Interp.mem_event) =
-    memrefs := Int64.add !memrefs 1L;
-    if not ev.aligned then mdas := Int64.add !mdas 1L;
-    Profile.record profile ~guest_addr:ev.guest_addr ~aligned:ev.aligned
-  in
-  let pc = ref entry in
-  let halted = ref false in
-  while (not !halted) && !guest_insns < max_guest_insns do
-    let block = block_at !pc in
-    guest_insns := Int64.add !guest_insns (Int64.of_int (Block.length block));
-    match Interp.exec_block cpu mode block ~on_mem with
-    | Interp.Fallthrough next -> pc := next
-    | Interp.Halted -> halted := true
-  done;
-  let stats : Run_stats.t =
-    { (Run_stats.zero
-         ~mechanism:(match mode with Interp.Native -> "native-x86" | _ -> "interpreter")
-         ~stop:(if !halted then Run_stats.Halted else Run_stats.Insn_limit))
-      with
-      cycles = cpu.Machine.Cpu.cycles;
-      guest_insns = !guest_insns;
-      interp_insns = !guest_insns;
-      memrefs = !memrefs;
-      mdas = !mdas;
-      blocks = Hashtbl.length blocks;
-      dcache_misses = snd (Machine.Cache.stats hier.Machine.Hierarchy.l1d) }
-  in
-  (stats, profile)
 
 (* Snapshot the run's statistics at the current point, with the caller
    naming why execution stopped. [run] calls this once at the end; a
@@ -688,6 +639,36 @@ let stats t ~(stop : Run_stats.stop_reason) : Run_stats.t =
     code_len = Code_cache.length t.cache;
     icache_misses = snd (Machine.Cache.stats hier.Machine.Hierarchy.l1i);
     dcache_misses = snd (Machine.Cache.stats hier.Machine.Hierarchy.l1d) }
+
+(* Pure-interpreter (or native-x86) execution of a whole guest program
+   on [t], with full alignment profiling into [t.profile]: every block
+   goes through [interp_block], nothing is translated. This is the
+   ground-truth engine behind Table I ("how many MDAs does this program
+   perform?"), Figure 15 (the per-site alignment-bias histogram), the
+   train-input runs that feed the static-profiling mechanism, the
+   chaos oracle, and — in [Native] mode — the Figure-1 experiment of
+   running the binary on MDA-tolerant X86 hardware. *)
+let interpret ?(mode = Interp.Interpreted { profile = true }) t ~entry =
+  let on_mem = on_mem t ~profiling:true in
+  let limit = t.config.max_guest_insns in
+  let rec go pc =
+    if Int64.of_int (Counters.geti t.counters Counters.Guest_insns) >= limit then
+      Run_stats.Insn_limit
+    else
+      match interp_block t mode ~on_mem pc with
+      | Interp.Fallthrough next -> go next
+      | Interp.Halted -> Run_stats.Halted
+  in
+  let stop = go entry in
+  let mechanism = match mode with Interp.Native -> "native-x86" | Interpreted _ -> "interpreter" in
+  { (stats t ~stop) with mechanism; blocks = Hashtbl.length t.blocks_decoded }
+
+let interpret_program ?mode ?(cost = Machine.Cost_model.default)
+    ?(max_guest_insns = Int64.max_int) ~mem ~entry () =
+  let config = { (default_config Mechanism.Direct) with cost; max_guest_insns } in
+  let t = create ~config ~mem () in
+  let stats = interpret ?mode t ~entry in
+  (stats, t.profile)
 
 (* Run the guest program from [entry] to completion (guest Halt), the
    guest-instruction bound, or fuel exhaustion. The runaway-code guard

@@ -118,10 +118,17 @@ val guest_block : t -> int -> Block.t option
     the faulting guest address — the code cache is left untouched). *)
 exception Runtime_error of string
 
-(** Pure-interpreter (or native-x86) execution of a whole program with
-    full alignment profiling: the ground-truth engine behind Table I,
-    Figure 15, train-input profiling runs, and (in [Native] mode)
-    Figure 1. *)
+(** Pure-interpreter (default) or native-x86 execution of the whole
+    program from [entry] on [t], with full alignment profiling into
+    [t.profile]: every block is interpreted by the same driver as phase
+    1 of {!step}, and nothing is translated. The ground-truth engine
+    behind Table I, Figure 15, train-input profiling runs, the chaos
+    oracle and (in [Native] mode) Figure 1. Stops at guest Halt or at
+    [t.config.max_guest_insns]; [blocks] counts the blocks decoded. *)
+val interpret : ?mode:Interp.mode -> t -> entry:int -> Run_stats.t
+
+(** {!interpret} on a fresh runtime over [mem]: the statistics and the
+    collected profile. *)
 val interpret_program :
   ?mode:Interp.mode ->
   ?cost:Mda_machine.Cost_model.t ->

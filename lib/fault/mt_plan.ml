@@ -21,7 +21,6 @@ type t = {
   slice_fuel : int;
   storm_window : int;
   storm_traps : int;
-  backoff_base : int;
   backoff_cap : int;
   max_restarts : int;
 }
@@ -73,7 +72,6 @@ let random ~rng ~id =
     slice_fuel = Rng.int_in rng 16 64;
     storm_window = Rng.int_in rng 4 8;
     storm_traps = Rng.int_in rng 30 80;
-    backoff_base = 1;
     backoff_cap = Rng.int_in rng 2 8;
     max_restarts = 3;
   }
@@ -99,7 +97,6 @@ let scheduler_config t =
     translation_quota = None;
     storm_window = t.storm_window;
     storm_traps = t.storm_traps;
-    backoff_base = t.backoff_base;
     backoff_cap = t.backoff_cap;
     max_restarts = t.max_restarts;
   }

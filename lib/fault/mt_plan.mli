@@ -39,7 +39,6 @@ type t = {
   slice_fuel : int;
   storm_window : int;
   storm_traps : int;
-  backoff_base : int;
   backoff_cap : int;
   max_restarts : int;
 }

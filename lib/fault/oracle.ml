@@ -14,11 +14,8 @@ let state (cpu : Machine.Cpu.t) =
 let state_eq a b = a.regs = b.regs && String.equal a.mem b.mem
 
 let interpret (entry, mem) =
-  let config =
-    Bt.Runtime.default_config (Bt.Mechanism.Dynamic_profiling { threshold = 1_000_000 })
-  in
-  let t = Bt.Runtime.create ~config ~mem () in
-  let _ = Bt.Runtime.run t ~entry in
+  let t = Bt.Runtime.create ~mem () in
+  let _ = Bt.Runtime.interpret t ~entry in
   state t.Bt.Runtime.cpu
 
 let replay_problem ~mechanism ~bench ~stats sink =

@@ -11,9 +11,9 @@ val state : Mda_machine.Cpu.t -> state
 
 val state_eq : state -> state -> bool
 
-(** Run a fresh [(entry, memory)] image by pure phase-1 interpretation
-    (a heating threshold beyond any loop count, so nothing translates
-    and no fault knob applies) and snapshot the result. *)
+(** Run a fresh [(entry, memory)] image by pure interpretation
+    ({!Mda_bt.Runtime.interpret}: nothing translates and no fault knob
+    applies) and snapshot the result. *)
 val interpret : int * Mda_machine.Memory.t -> state
 
 (** Serialize the sink as a JSONL trace, parse it back and replay it;

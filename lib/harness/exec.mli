@@ -24,8 +24,6 @@ type counters = {
   failed : int;  (** worker failures (recomputed inline on access) *)
 }
 
-val zero_counters : counters
-
 (** [diff_counters after before] — per-experiment deltas for the timing
     report. *)
 val diff_counters : counters -> counters -> counters

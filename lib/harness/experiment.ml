@@ -52,13 +52,6 @@ let sa_mechanism ?(scale = 1.0) ?(input = W.Gen.Ref) ?(unknown = Bt.Mechanism.Sa
     name =
   Cell.mechanism_of_spec ~scale ~input name (Cell.Static_analysis { unknown })
 
-(* Pure-interpreter ground-truth run (Table I, Figure 15, train profiles). *)
-let run_interp ?(scale = 1.0) ?(input = W.Gen.Ref) ?(native = false) name =
-  let w = W.Workload.instantiate ~scale ~input name in
-  let mem = W.Workload.fresh_memory w in
-  let mode = if native then Bt.Interp.Native else Bt.Interp.Interpreted { profile = true } in
-  Bt.Runtime.interpret_program ~mode ~mem ~entry:(W.Workload.entry w) ()
-
 (* Best configurations for the overall comparison (paper Section VI-C),
    as cell specs for the runners and as mechanisms. *)
 let best_dynamic_spec = Spec.best_dynamic

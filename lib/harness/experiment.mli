@@ -55,14 +55,6 @@ val sa_mechanism :
   string ->
   Mda_bt.Mechanism.t
 
-(** Pure-interpreter ([native:false]) or native-x86 ground-truth run. *)
-val run_interp :
-  ?scale:float ->
-  ?input:Mda_workloads.Gen.input ->
-  ?native:bool ->
-  string ->
-  Mda_bt.Run_stats.t * Mda_bt.Profile.t
-
 (** Best configurations for the overall comparison (Section VI-C). *)
 
 val best_dynamic : Mda_bt.Mechanism.t

@@ -17,7 +17,6 @@ type config = {
   translation_quota : int option;
   storm_window : int;
   storm_traps : int;
-  backoff_base : int;
   backoff_cap : int;
   max_restarts : int;
 }
@@ -31,7 +30,6 @@ let default_config =
     translation_quota = None;
     storm_window = 8;
     storm_traps = 64;
-    backoff_base = 1;
     backoff_cap = 8;
     max_restarts = 3;
   }
@@ -144,9 +142,7 @@ let validate cfg specs ~tenants =
   if cfg.slice_fuel < 1 then invalid_arg "Scheduler: slice_fuel must be >= 1";
   if cfg.storm_window < 1 then invalid_arg "Scheduler: storm_window must be >= 1";
   if cfg.storm_traps < 1 then invalid_arg "Scheduler: storm_traps must be >= 1";
-  if cfg.backoff_base < 1 then invalid_arg "Scheduler: backoff_base must be >= 1";
-  if cfg.backoff_cap < cfg.backoff_base then
-    invalid_arg "Scheduler: backoff_cap must be >= backoff_base";
+  if cfg.backoff_cap < 1 then invalid_arg "Scheduler: backoff_cap must be >= 1";
   if cfg.max_restarts < 0 then invalid_arg "Scheduler: max_restarts must be >= 0";
   List.iter
     (fun s ->
@@ -359,9 +355,7 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
                 m.m_final <- Some st
               end
               else begin
-                let delay =
-                  min (cfg.backoff_base lsl m.m_restarts) cfg.backoff_cap
-                in
+                let delay = min (1 lsl m.m_restarts) cfg.backoff_cap in
                 max_backoff_used := max !max_backoff_used delay;
                 m.m_restarts <- m.m_restarts + 1;
                 m.next_start <- !round + delay;

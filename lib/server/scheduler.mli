@@ -30,8 +30,9 @@ type config = {
   storm_window : int;  (** sliding trap-rate window, in rounds *)
   storm_traps : int;
       (** traps within the window that demote the tenant *)
-  backoff_base : int;  (** first restart delay, in rounds *)
-  backoff_cap : int;  (** restart delay ceiling, in rounds *)
+  backoff_cap : int;
+      (** restart delay ceiling, in rounds; the first restart waits one
+          round and each further one doubles the wait *)
   max_restarts : int;
       (** supervisor gives a session at most this many restarts *)
 }

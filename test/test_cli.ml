@@ -109,8 +109,11 @@ let test_trace_out_does_not_change_stdout () =
       Alcotest.(check string) (args ^ ": stdout byte-identical with --trace-out")
         (slurp out_a) (slurp out_b);
       Alcotest.(check bool) (args ^ ": trace artifact written") true (Sys.file_exists trace);
+      Alcotest.(check int) (args ^ ": trace replays") 0
+        (Sys.command (Printf.sprintf "%s trace --replay %s > /dev/null 2>&1" exe trace));
       Sys.remove trace)
     [ Printf.sprintf "run %s -m eh --scale 0.05" bench;
+      Printf.sprintf "run %s -m interp --scale 0.05" bench;
       "serve --tenants 3 --sessions 2 --seed 42" ]
 
 (* --- chaos failure UX and the serve front-end -------------------------- *)

@@ -122,12 +122,8 @@ let snapshot (cpu_regs : int -> int64) mem =
 
 let run_interp p =
   let program, mem = build p in
-  let config =
-    (* a threshold beyond any loop count: pure interpretation *)
-    Bt.Runtime.default_config (Bt.Mechanism.Dynamic_profiling { threshold = 1_000_000 })
-  in
-  let t = Bt.Runtime.create ~config ~mem () in
-  let _ = Bt.Runtime.run t ~entry:program.G.Asm.base in
+  let t = Bt.Runtime.create ~mem () in
+  let _ = Bt.Runtime.interpret t ~entry:program.G.Asm.base in
   snapshot (fun i -> Machine.Cpu.get t.Bt.Runtime.cpu i) mem
 
 let run_mech mechanism p =

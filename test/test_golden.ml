@@ -77,6 +77,10 @@ let run_labels =
 
 let cases =
   [ ("table1", fun () -> H.Experiment.render (H.Table1.run ~opts:golden_opts ()));
+    (* the only Native path (split-access charge) and the per-site
+       profile histogram: the interpreter's two otherwise unpinned views *)
+    ("fig1", fun () -> H.Experiment.render (H.Fig1.run ~opts:golden_opts ()));
+    ("fig15", fun () -> H.Experiment.render (H.Fig15.run ~opts:golden_opts ()));
     ("fig16", fun () -> H.Experiment.render (H.Fig16.run ~opts:golden_opts ()));
     ("figsa", fun () -> H.Experiment.render (H.Figsa.run ~opts:golden_opts ()));
     ("census-stack", census_stack);

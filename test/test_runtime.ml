@@ -146,6 +146,45 @@ let test_max_guest_insns_bound () =
     (stats.Bt.Run_stats.guest_insns >= 5_000L
     && stats.Bt.Run_stats.guest_insns < 6_000L)
 
+(* The pure-interpreter driver never translates, however hot a block
+   runs: a loop past a million iterations (where a heating threshold
+   of 1 000 000 would translate) stays interpreted to the last
+   instruction, and the oracle built on it agrees with a translated
+   run of the same loop. *)
+let test_interpret_never_translates () =
+  let image () =
+    let asm = G.Asm.create () in
+    let open G.Asm in
+    movi asm GI.ECX 0;
+    let top = fresh_label asm in
+    bind asm top;
+    addi asm GI.ECX 1;
+    cmpi asm GI.ECX 1_100_000;
+    jcc asm GI.Ne top;
+    halt asm;
+    let program = assemble ~base:Bt.Layout.guest_code_base asm in
+    let mem = Machine.Memory.create ~size_bytes:Bt.Layout.mem_size in
+    Machine.Memory.load_image mem ~addr:program.base program.image;
+    (program.base, mem)
+  in
+  let entry, mem = image () in
+  let t = Bt.Runtime.create ~mem () in
+  let stats = Bt.Runtime.interpret t ~entry in
+  Alcotest.(check int) "no translation" 0 stats.Bt.Run_stats.translations;
+  Alcotest.(check int64) "every guest insn" 3_300_002L stats.Bt.Run_stats.guest_insns;
+  Alcotest.(check int64) "all interpreted" stats.Bt.Run_stats.guest_insns
+    stats.Bt.Run_stats.interp_insns;
+  let entry, mem = image () in
+  let config =
+    Bt.Runtime.default_config (Bt.Mechanism.Exception_handling { rearrange = false })
+  in
+  let eh = Bt.Runtime.create ~config ~mem () in
+  ignore (Bt.Runtime.run eh ~entry);
+  Alcotest.(check bool) "oracle = eh final state" true
+    (Mda_fault.Oracle.state_eq
+       (Mda_fault.Oracle.interpret (image ()))
+       (Mda_fault.Oracle.state eh.Bt.Runtime.cpu))
+
 (* --- knobs ------------------------------------------------------------------ *)
 
 let mech_eh = Bt.Mechanism.Exception_handling { rearrange = false }
@@ -370,6 +409,7 @@ let suite =
         Alcotest.test_case "tiny-fuel accounting" `Quick test_tiny_fuel_accounting;
         Alcotest.test_case "halt stop reason" `Quick test_halt_stop_reason;
         Alcotest.test_case "guest-instruction bound" `Quick test_max_guest_insns_bound;
+        Alcotest.test_case "interpret never translates" `Quick test_interpret_never_translates;
         Alcotest.test_case "chaining off is correct" `Quick test_chaining_off_still_correct;
         Alcotest.test_case "full flush is correct" `Quick test_full_flush_still_correct;
         Alcotest.test_case "cache-miss stats" `Quick test_cache_miss_stats_reported;

@@ -146,7 +146,7 @@ let test_supervisor_restart () =
     [ spec_of ~first_fuel:40 t0 "eh"; spec_of ~crash_at:5 t0 "dynamic-profiling" ]
   in
   let cfg =
-    { Srv.Scheduler.default_config with Srv.Scheduler.backoff_base = 1; backoff_cap = 4 }
+    { Srv.Scheduler.default_config with Srv.Scheduler.backoff_cap = 4 }
   in
   let o = Srv.Scheduler.run ~tenants:1 cfg specs in
   let r = o.Srv.Scheduler.report in
@@ -177,8 +177,7 @@ let test_supervisor_gives_up () =
   let cfg =
     {
       Srv.Scheduler.default_config with
-      Srv.Scheduler.backoff_base = 1;
-      backoff_cap = 4;
+      Srv.Scheduler.backoff_cap = 4;
       max_restarts = 4;
     }
   in
