@@ -121,7 +121,7 @@ let data_access cpu mode ~on_mem ~guest_addr ~ea ~size ~kind ~write_value =
   | Native -> if not aligned then Machine.Cpu.charge cpu cost.split_access
   | Interpreted { profile } -> if profile then Machine.Cpu.charge cpu cost.interp_profile);
   on_mem { guest_addr; ea; size; aligned; kind };
-  cpu.Machine.Cpu.mem_ops <- Int64.add cpu.Machine.Cpu.mem_ops 1L;
+  cpu.Machine.Cpu.mem_ops <- cpu.Machine.Cpu.mem_ops + 1;
   Machine.Cpu.charge cpu (Machine.Hierarchy.access_data cpu.Machine.Cpu.hier ~addr:ea ~size);
   match kind with
   | `Load -> Machine.Memory.read cpu.Machine.Cpu.mem ~addr:ea ~size

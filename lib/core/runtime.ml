@@ -551,15 +551,9 @@ let enter_translated t (brec : Code_cache.block_rec) entry =
   let fetch pc = Code_cache.fetch t.cache pc in
   let before = t.cpu.Machine.Cpu.insns in
   let exit_reason, at = Machine.Cpu.run t.cpu ~fetch ~entry ~fuel:t.fuel_left in
-  let executed = Int64.sub t.cpu.Machine.Cpu.insns before in
-  (* Saturating decrement: without the clamps a long run could drive
-     [fuel_left] past 0 (or truncate a >62-bit count on [Int64.to_int])
-     and the runaway-code guard would silently never fire again. *)
-  let executed_int =
-    if Int64.compare executed (Int64.of_int max_int) > 0 then max_int
-    else Int64.to_int (Int64.max executed 0L)
-  in
-  t.fuel_left <- max 0 (t.fuel_left - executed_int);
+  (* [run] retires at most [fuel_left] instructions; the clamp keeps
+     [fuel_left >= 0] whatever it retired. *)
+  t.fuel_left <- max 0 (t.fuel_left - (t.cpu.Machine.Cpu.insns - before));
   match exit_reason with
   | Machine.Cpu.Exit_next_guest g ->
     maybe_chain t ~at ~target_pc:g;
@@ -605,7 +599,7 @@ let translated_guest_estimate t =
   if ghl = 0 then 0L
   else
     Int64.of_float
-      (Int64.to_float t.cpu.Machine.Cpu.insns
+      (float_of_int t.cpu.Machine.Cpu.insns
       *. (float_of_int (Counters.geti t.counters Counters.Translated_guest_len)
          /. float_of_int ghl))
 
@@ -620,13 +614,13 @@ let stats t ~(stop : Run_stats.stop_reason) : Run_stats.t =
   let c = t.counters and hier = t.cpu.Machine.Cpu.hier in
   { mechanism = Mechanism.name t.config.mechanism;
     stop;
-    cycles = t.cpu.Machine.Cpu.cycles;
+    cycles = Int64.of_int t.cpu.Machine.Cpu.cycles;
     guest_insns = total_guest_insns t;
     interp_insns = Counters.get c Counters.Interp_insns;
-    host_insns = t.cpu.Machine.Cpu.insns;
+    host_insns = Int64.of_int t.cpu.Machine.Cpu.insns;
     memrefs = Counters.get c Counters.Memrefs;
     mdas = Counters.get c Counters.Mdas;
-    traps = t.cpu.Machine.Cpu.align_traps;
+    traps = Int64.of_int t.cpu.Machine.Cpu.align_traps;
     patches = Counters.geti c Counters.Handler_patches;
     translations = Counters.geti c Counters.Translations;
     retranslations = Counters.geti c Counters.Retranslations;

@@ -41,8 +41,16 @@ type t = {
          across worker processes; [compute] activates them *)
 }
 
+(* A trap-cost override equal to the default is no override: storing it
+   as [None] gives the cell the default's key, so the trap-cost
+   ablation's default column reuses Figure 16's cells. *)
 let make ?(input = W.Gen.Ref) ?(variant = W.Workload.Default) ?trap_cost ?(chaining = true)
     ?capacity ?rules ~scale kind bench =
+  let trap_cost =
+    match trap_cost with
+    | Some c when c = Machine.Cost_model.default.align_trap -> None
+    | tc -> tc
+  in
   { bench; scale; input; variant; kind; trap_cost; chaining; capacity; rules }
 
 let mech ?input ?variant ?trap_cost ?chaining ?capacity ?rules ~scale spec bench =

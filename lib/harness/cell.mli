@@ -27,7 +27,9 @@ type t = {
   input : Mda_workloads.Gen.input;
   variant : Mda_workloads.Workload.variant;
   kind : kind;
-  trap_cost : int option;  (** override the cost model's align_trap cycles *)
+  trap_cost : int option;
+      (** override the cost model's align_trap cycles; {!make} stores an
+          override equal to the default as [None] *)
   chaining : bool;
   capacity : int option;
       (** bounded code cache, in live host insns ([Mech] cells only;

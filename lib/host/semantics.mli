@@ -34,3 +34,16 @@ val msk_high : width:int -> int64 -> int64 -> int64
 
 (** Dispatch over the six byte-manipulation forms. *)
 val bytemanip : Isa.bytemanip -> width:int -> high:bool -> int64 -> int64 -> int64
+
+(** {2 Register-file forms}
+
+    A register file is a [Bytes.t] of native-endian 64-bit slots; slot
+    [i] starts at byte [8 * i]. These read operand slots [a] and [b],
+    apply {!oper}/{!bytemanip}, and write the result to slot [dst],
+    without boxing an int64 on the way: the host CPU's execute loop
+    calls them. Slot indices are not bounds-checked. *)
+
+val oper_rf : Isa.oper -> Bytes.t -> a:int -> b:int -> dst:int -> unit
+
+val bytemanip_rf :
+  Isa.bytemanip -> width:int -> high:bool -> Bytes.t -> a:int -> b:int -> dst:int -> unit

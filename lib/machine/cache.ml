@@ -72,13 +72,6 @@ let access t addr =
     false
   end
 
-(* Lines touched by an access of [size] bytes at [addr]: 1, or 2 when the
-   access straddles a line boundary (the misaligned-access case). *)
-let lines_touched t ~addr ~size =
-  let first = addr lsr t.line_bits in
-  let last = (addr + size - 1) lsr t.line_bits in
-  if first = last then [ addr ] else [ addr; (last lsl t.line_bits) ]
-
 let invalidate_all t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.lru 0 (Array.length t.lru) 0

@@ -17,10 +17,6 @@ val sets : t -> int
     line, evicting the LRU way. *)
 val access : t -> int -> bool
 
-(** Addresses of the lines an access touches: one, or two when it
-    straddles a line boundary (the misaligned case). *)
-val lines_touched : t -> addr:int -> size:int -> int list
-
 val invalidate_all : t -> unit
 
 (** (hits, misses) since creation. *)

@@ -17,7 +17,6 @@
    patched *while the CPU runs* — exactly the aliasing that makes real
    DBT patching delicate. *)
 
-open Mda_util
 module H = Mda_host.Isa
 module Sem = Mda_host.Semantics
 
@@ -32,150 +31,181 @@ exception Fatal of string
 
 exception Out_of_fuel
 
+(* The register file: 34 native-endian int64 slots in one [Bytes.t],
+   read and written with the unboxed [%caml_bytes_*64u] primitives.
+   Slots 0..31 are the architectural registers; [lit] holds an operate
+   instruction's literal operand; [sink] absorbs writes to r31. Slot 31
+   is never written, so it reads as zero without a branch. *)
+let lit = 32
+
+let sink = 33
+
 type t = {
-  regs : int64 array;
+  rf : Bytes.t;
   mem : Memory.t;
   hier : Hierarchy.t;
   cost : Cost_model.t;
   code_base : int; (* simulated address of code-cache slot 0, for the I-cache *)
-  mutable cycles : int64;
-  mutable insns : int64;
-  mutable mem_ops : int64;
-  mutable align_traps : int64;
+  mutable cycles : int;
+  mutable insns : int;
+  mutable mem_ops : int;
+  mutable align_traps : int;
   mutable handler : (pc:int -> addr:int -> H.insn -> trap_action) option;
 }
 
 let create ?(code_base = 0x0100_0000) ~mem ~hier ~cost () =
-  { regs = Array.make H.num_regs 0L;
+  { rf = Bytes.make ((sink + 1) * 8) '\000';
     mem;
     hier;
     cost;
     code_base;
-    cycles = 0L;
-    insns = 0L;
-    mem_ops = 0L;
-    align_traps = 0L;
+    cycles = 0;
+    insns = 0;
+    mem_ops = 0;
+    align_traps = 0;
     handler = None }
 
 let set_handler t h = t.handler <- Some h
 
-let get t r = if r = H.r31 then 0L else t.regs.(r)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let set t r v = if r <> H.r31 then t.regs.(r) <- v
+(* The slot a write to register [r] lands in. *)
+let[@inline] dst r = if r = H.r31 then sink else r
 
-let charge t c = t.cycles <- Int64.add t.cycles (Int64.of_int c)
+(* Unchecked register access for the execute loop: an instruction's
+   register fields are 0..31 by construction (the translator's constants,
+   the host parser's check). *)
+let[@inline] rd t r = get64 t.rf (r lsl 3)
+
+let[@inline] wr t r v = set64 t.rf (dst r lsl 3) v
+
+let check_reg r = if r lsr 5 <> 0 then invalid_arg (Printf.sprintf "Cpu: register %d" r)
+
+let get t r =
+  check_reg r;
+  rd t r
+
+let set t r v =
+  check_reg r;
+  wr t r v
+
+(* The slot holding an operate instruction's second operand. *)
+let[@inline] operand t = function
+  | H.Rb r -> r
+  | H.Lit v ->
+    set64 t.rf (lit lsl 3) (Int64.of_int v);
+    lit
+
+(* Sign-extend the longword in register slot [s] in place. *)
+let[@inline] sext32 t s =
+  set64 t.rf (s lsl 3) (Int64.shift_right (Int64.shift_left (get64 t.rf (s lsl 3)) 32) 32)
+
+let charge t c = t.cycles <- t.cycles + c
 
 (* The simulated clock: cycles retired so far. Trace timestamps read
    this (never wall clock), which is what makes traces deterministic. *)
-let now t = t.cycles
+let now t = Int64.of_int t.cycles
 
-let ea t rb disp = Int64.to_int (get t rb) + disp
+let[@inline] ea t rb disp = Int64.to_int (rd t rb) + disp
 
-(* Perform a data access with cache accounting. *)
-let do_load t ~addr ~size =
-  t.mem_ops <- Int64.add t.mem_ops 1L;
+(* Perform a data access with cache accounting, between memory and
+   register slot [s]. *)
+let do_load t ~addr ~size s =
+  t.mem_ops <- t.mem_ops + 1;
   charge t (Hierarchy.access_data t.hier ~addr ~size);
-  Memory.read t.mem ~addr ~size
+  Memory.load_rf t.mem ~addr ~size t.rf ~dst:s
 
-let do_store t ~addr ~size v =
-  t.mem_ops <- Int64.add t.mem_ops 1L;
+let do_store t ~addr ~size s =
+  t.mem_ops <- t.mem_ops + 1;
   charge t (Hierarchy.access_data t.hier ~addr ~size);
-  Memory.write t.mem ~addr ~size v
-
-let operand_value t = function
-  | H.Rb r -> get t r
-  | H.Lit v -> Int64.of_int v
+  Memory.store_rf t.mem ~addr ~size t.rf ~src:s
 
 (* Byte-wise emulation of a misaligned access, as the OS fixup handler
    performs it. The cycle cost of the handler body is folded into
    [cost.align_trap]. *)
 let emulate_access t insn ~addr =
+  let load ra size = Memory.load_rf t.mem ~addr ~size t.rf ~dst:(dst ra)
+  and store ra size = Memory.store_rf t.mem ~addr ~size t.rf ~src:ra in
   match insn with
-  | H.Ldwu { ra; _ } -> set t ra (Memory.read t.mem ~addr ~size:2)
-  | H.Ldl { ra; _ } -> set t ra (Bits.sign_extend ~size:4 (Memory.read t.mem ~addr ~size:4))
-  | H.Ldq { ra; _ } -> set t ra (Memory.read t.mem ~addr ~size:8)
-  | H.Stw { ra; _ } -> Memory.write t.mem ~addr ~size:2 (get t ra)
-  | H.Stl { ra; _ } -> Memory.write t.mem ~addr ~size:4 (get t ra)
-  | H.Stq { ra; _ } -> Memory.write t.mem ~addr ~size:8 (get t ra)
+  | H.Ldwu { ra; _ } -> load ra 2
+  | H.Ldl { ra; _ } ->
+    load ra 4;
+    sext32 t (dst ra)
+  | H.Ldq { ra; _ } -> load ra 8
+  | H.Stw { ra; _ } -> store ra 2
+  | H.Stl { ra; _ } -> store ra 4
+  | H.Stq { ra; _ } -> store ra 8
   | _ -> raise (Fatal "emulate_access: not an alignment-restricted access")
 
-(* Execute one non-control instruction. Raises [Align_trap] via the
-   handler protocol. *)
-type step = Next | Goto of int | Stop of exit_reason
+(* Raised by [exec] for a misaligned effective address on an
+   alignment-restricted access; [run] delivers it to the handler. *)
+exception Misaligned of int
 
-exception Misaligned of { addr : int; dir : [ `Load | `Store ]; size : int }
+let[@inline] aligned ~mask addr = if addr land mask <> 0 then raise (Misaligned addr)
 
+(* Execute one memory instruction. *)
 let exec_mem t insn =
   match insn with
-  | H.Ldbu { ra; rb; disp } ->
-    set t ra (do_load t ~addr:(ea t rb disp) ~size:1);
-    Next
+  | H.Ldbu { ra; rb; disp } -> do_load t ~addr:(ea t rb disp) ~size:1 (dst ra)
   | H.Ldwu { ra; rb; disp } ->
     let addr = ea t rb disp in
-    if addr land 1 <> 0 then raise (Misaligned { addr; dir = `Load; size = 2 });
-    set t ra (do_load t ~addr ~size:2);
-    Next
+    aligned ~mask:1 addr;
+    do_load t ~addr ~size:2 (dst ra)
   | H.Ldl { ra; rb; disp } ->
     let addr = ea t rb disp in
-    if addr land 3 <> 0 then raise (Misaligned { addr; dir = `Load; size = 4 });
-    set t ra (Bits.sign_extend ~size:4 (do_load t ~addr ~size:4));
-    Next
+    aligned ~mask:3 addr;
+    do_load t ~addr ~size:4 (dst ra);
+    sext32 t (dst ra)
   | H.Ldq { ra; rb; disp } ->
     let addr = ea t rb disp in
-    if addr land 7 <> 0 then raise (Misaligned { addr; dir = `Load; size = 8 });
-    set t ra (do_load t ~addr ~size:8);
-    Next
+    aligned ~mask:7 addr;
+    do_load t ~addr ~size:8 (dst ra)
   | H.Ldq_u { ra; rb; disp } ->
     (* never traps: the access is forced onto the enclosing quadword *)
-    let addr = ea t rb disp land lnot 7 in
-    set t ra (do_load t ~addr ~size:8);
-    Next
-  | H.Stb { ra; rb; disp } ->
-    do_store t ~addr:(ea t rb disp) ~size:1 (get t ra);
-    Next
+    do_load t ~addr:(ea t rb disp land lnot 7) ~size:8 (dst ra)
+  | H.Stb { ra; rb; disp } -> do_store t ~addr:(ea t rb disp) ~size:1 ra
   | H.Stw { ra; rb; disp } ->
     let addr = ea t rb disp in
-    if addr land 1 <> 0 then raise (Misaligned { addr; dir = `Store; size = 2 });
-    do_store t ~addr ~size:2 (get t ra);
-    Next
+    aligned ~mask:1 addr;
+    do_store t ~addr ~size:2 ra
   | H.Stl { ra; rb; disp } ->
     let addr = ea t rb disp in
-    if addr land 3 <> 0 then raise (Misaligned { addr; dir = `Store; size = 4 });
-    do_store t ~addr ~size:4 (get t ra);
-    Next
+    aligned ~mask:3 addr;
+    do_store t ~addr ~size:4 ra
   | H.Stq { ra; rb; disp } ->
     let addr = ea t rb disp in
-    if addr land 7 <> 0 then raise (Misaligned { addr; dir = `Store; size = 8 });
-    do_store t ~addr ~size:8 (get t ra);
-    Next
-  | H.Stq_u { ra; rb; disp } ->
-    let addr = ea t rb disp land lnot 7 in
-    do_store t ~addr ~size:8 (get t ra);
-    Next
+    aligned ~mask:7 addr;
+    do_store t ~addr ~size:8 ra
+  | H.Stq_u { ra; rb; disp } -> do_store t ~addr:(ea t rb disp land lnot 7) ~size:8 ra
   | _ -> raise (Fatal "exec_mem: not a memory instruction")
 
+(* Execute the instruction at [pc] and return the next pc, or -1 after
+   a [Monitor] (whose exit reason [run] decodes). Raises [Misaligned]. *)
 let exec t pc insn =
   match insn with
   | H.Ldbu _ | H.Ldwu _ | H.Ldl _ | H.Ldq _ | H.Ldq_u _ | H.Stb _ | H.Stw _ | H.Stl _
-  | H.Stq _ | H.Stq_u _ -> exec_mem t insn
+  | H.Stq _ | H.Stq_u _ ->
+    exec_mem t insn;
+    pc + 1
   | H.Lda { ra; rb; disp } ->
-    set t ra (Int64.add (get t rb) (Int64.of_int disp));
-    Next
+    wr t ra (Int64.add (rd t rb) (Int64.of_int disp));
+    pc + 1
   | H.Ldah { ra; rb; disp } ->
-    set t ra (Int64.add (get t rb) (Int64.of_int (disp * 65536)));
-    Next
+    wr t ra (Int64.add (rd t rb) (Int64.of_int (disp * 65536)));
+    pc + 1
   | H.Opr { op; ra; rb; rc } ->
-    set t rc (Sem.oper op (get t ra) (operand_value t rb));
-    Next
+    Sem.oper_rf op t.rf ~a:ra ~b:(operand t rb) ~dst:(dst rc);
+    pc + 1
   | H.Bytem { op; width; high; ra; rb; rc } ->
-    set t rc (Sem.bytemanip op ~width ~high (get t ra) (operand_value t rb));
-    Next
+    Sem.bytemanip_rf op ~width ~high t.rf ~a:ra ~b:(operand t rb) ~dst:(dst rc);
+    pc + 1
   | H.Br { ra; target } ->
-    set t ra (Int64.of_int (pc + 1));
+    wr t ra (Int64.of_int (pc + 1));
     charge t t.cost.Cost_model.taken_branch;
-    Goto target
+    target
   | H.Bcond { cond; ra; target } ->
-    let v = get t ra in
+    let v = rd t ra in
     let taken =
       match cond with
       | H.Beq -> Int64.equal v 0L
@@ -187,22 +217,24 @@ let exec t pc insn =
     in
     if taken then begin
       charge t t.cost.Cost_model.taken_branch;
-      Goto target
+      target
     end
-    else Next
+    else pc + 1
   | H.Jmp { ra; rb } ->
-    let target = Int64.to_int (get t rb) in
-    set t ra (Int64.of_int (pc + 1));
+    let target = Int64.to_int (rd t rb) in
+    wr t ra (Int64.of_int (pc + 1));
     charge t t.cost.Cost_model.taken_branch;
-    Goto target
-  | H.Monitor kind ->
+    target
+  | H.Monitor _ ->
     charge t t.cost.Cost_model.monitor_exit;
-    Stop
-      (match kind with
-      | H.Next_guest g -> Exit_next_guest g
-      | H.Dyn_guest r -> Exit_dyn_guest (Int64.to_int (get t r))
-      | H.Prog_halt -> Exit_halt)
-  | H.Nop -> Next
+    -1
+  | H.Nop -> pc + 1
+
+let exit_of t = function
+  | H.Monitor (H.Next_guest g) -> Exit_next_guest g
+  | H.Monitor (H.Dyn_guest r) -> Exit_dyn_guest (Int64.to_int (rd t r))
+  | H.Monitor H.Prog_halt -> Exit_halt
+  | _ -> raise (Fatal "exit_of: not a monitor instruction")
 
 (* [run t ~fetch ~entry ~fuel] executes from code-cache index [entry]
    until a [Monitor] instruction stops it, returning the exit reason and
@@ -211,36 +243,34 @@ let exec t pc insn =
    bounds the number of executed instructions; exceeding it raises
    [Out_of_fuel]. *)
 let run t ~fetch ~entry ~fuel =
-  let pc = ref entry in
-  let remaining = ref fuel in
-  let result = ref None in
-  while !result = None do
+  let pc = ref entry and remaining = ref fuel and stop = ref (-1) in
+  while !stop < 0 do
     if !remaining <= 0 then raise Out_of_fuel;
     decr remaining;
-    let insn = fetch !pc in
+    let here = !pc in
+    let insn = fetch here in
     (* instruction fetch: 4 bytes per insn at code_base *)
-    charge t (Hierarchy.access_code t.hier ~addr:(t.code_base + (!pc * Mda_host.Encode.bytes_per_insn)));
+    charge t
+      (Hierarchy.access_code t.hier
+         ~addr:(t.code_base + (here * Mda_host.Encode.bytes_per_insn)));
     charge t t.cost.Cost_model.base_insn;
-    t.insns <- Int64.add t.insns 1L;
-    match exec t !pc insn with
-    | Next -> incr pc
-    | Goto target -> pc := target
-    | Stop reason -> result := Some (reason, !pc)
-    | exception Misaligned { addr; dir = _; size = _ } -> begin
-      t.align_traps <- Int64.add t.align_traps 1L;
+    t.insns <- t.insns + 1;
+    match exec t here insn with
+    | -1 -> stop := here
+    | next -> pc := next
+    | exception Misaligned addr -> begin
+      t.align_traps <- t.align_traps + 1;
       charge t t.cost.Cost_model.align_trap;
       match t.handler with
       | None ->
-        raise
-          (Fatal
-             (Printf.sprintf "unhandled alignment trap at pc %d addr %#x" !pc addr))
+        raise (Fatal (Printf.sprintf "unhandled alignment trap at pc %d addr %#x" here addr))
       | Some h -> begin
-        match h ~pc:!pc ~addr insn with
+        match h ~pc:here ~addr insn with
         | Emulate ->
           emulate_access t insn ~addr;
-          incr pc
+          pc := here + 1
         | Retry -> () (* re-fetch the (patched) slot *)
       end
     end
   done;
-  match !result with Some r -> r | None -> assert false
+  (exit_of t (fetch !stop), !stop)

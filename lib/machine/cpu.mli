@@ -24,15 +24,19 @@ exception Fatal of string
 exception Out_of_fuel
 
 type t = {
-  regs : int64 array;
+  rf : Bytes.t;
+      (** the register file: 34 native-endian int64 slots (see
+          {!Mda_host.Semantics.oper_rf}) — r0..r31, then a literal-operand
+          slot and a sink slot that absorbs writes to r31, so slot 31 is
+          never written. Use {!get}/{!set}. *)
   mem : Memory.t;
   hier : Hierarchy.t;
   cost : Cost_model.t;
   code_base : int; (** simulated address of code-cache slot 0 *)
-  mutable cycles : int64;
-  mutable insns : int64;
-  mutable mem_ops : int64;
-  mutable align_traps : int64;
+  mutable cycles : int;
+  mutable insns : int;
+  mutable mem_ops : int;
+  mutable align_traps : int;
   mutable handler : (pc:int -> addr:int -> Mda_host.Isa.insn -> trap_action) option;
 }
 
@@ -42,7 +46,8 @@ val create :
 (** Register the misalignment handler (the BT runtime's entry point). *)
 val set_handler : t -> (pc:int -> addr:int -> Mda_host.Isa.insn -> trap_action) -> unit
 
-(** Architectural register access; R31 is hardwired to zero. *)
+(** Architectural register access; R31 is hardwired to zero. Raises
+    [Invalid_argument] for a register outside 0..31. *)
 val get : t -> Mda_host.Isa.reg -> int64
 
 val set : t -> Mda_host.Isa.reg -> int64 -> unit
@@ -60,6 +65,8 @@ val now : t -> int64
     until a [Monitor] instruction, returning the exit reason and the
     index of the [Monitor] that fired (the chaining site). [fuel] bounds
     the instruction count ({!Out_of_fuel} beyond it); traps without a
-    handler raise {!Fatal}. *)
+    handler raise {!Fatal}. The register fields of the fetched
+    instructions are trusted to be 0..31, as the translator and the
+    host parser guarantee: the execute loop does not check them. *)
 val run :
   t -> fetch:(int -> Mda_host.Isa.insn) -> entry:int -> fuel:int -> exit_reason * int

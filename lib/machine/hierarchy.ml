@@ -27,12 +27,13 @@ let access_through t l1 addr =
 
 (* [access_data t ~addr ~size] charges for every cache line the access
    touches — a line-crossing (misaligned) access costs two line lookups,
-   which is how the native-x86 split-access penalty arises. *)
+   which is how the native-x86 split-access penalty arises. The second
+   line is the one holding the access's last byte; its base lies past
+   [addr] exactly when the access crosses. *)
 let access_data t ~addr ~size =
-  List.fold_left
-    (fun acc line_addr -> acc + access_through t t.l1d line_addr)
-    0
-    (Cache.lines_touched t.l1d ~addr ~size)
+  let first = access_through t t.l1d addr in
+  let last = (addr + size - 1) land lnot (Cache.line_bytes t.l1d - 1) in
+  if last <= addr then first else first + access_through t t.l1d last
 
 let access_code t ~addr = access_through t t.l1i addr
 

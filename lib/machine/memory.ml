@@ -11,7 +11,11 @@
    2048-entry array, not an 8 MiB memset — a loaded tenant image touches
    two pages. A partial last page (size not a page multiple) is private
    from the start and exactly as long as the memory it covers, so every
-   page's [Bytes.length] ends where memory does. *)
+   page's [Bytes.length] ends where memory does.
+
+   [read] and [write] are inlined into [load_rf] and [store_rf], which
+   move a value between memory and a register-file slot (see
+   Mda_host.Semantics) so the host CPU's loads and stores box nothing. *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
@@ -102,7 +106,7 @@ external swap64 : int64 -> int64 = "%bswap_int64"
 (* [read t ~addr ~size] returns the little-endian value of [size] bytes
    (1/2/4/8), zero-extended into an int64. An access that fits in its
    page is one direct page index. *)
-let read t ~addr ~size =
+let[@inline] read t ~addr ~size =
   check t addr size;
   let off = addr land page_mask in
   match size with
@@ -119,7 +123,7 @@ let read t ~addr ~size =
   | 2 | 4 | 8 -> read_straddle t addr size
   | n -> invalid_arg (Printf.sprintf "Memory.read: size %d" n)
 
-let write t ~addr ~size v =
+let[@inline] write t ~addr ~size v =
   check t addr size;
   let off = addr land page_mask in
   match size with
@@ -134,6 +138,11 @@ let write t ~addr ~size v =
     set64 (writable t addr) off (if Sys.big_endian then swap64 v else v)
   | 2 | 4 | 8 -> write_straddle t addr size v
   | n -> invalid_arg (Printf.sprintf "Memory.write: size %d" n)
+
+(* Register-file slot [i] is the native-endian int64 at byte [8 * i]. *)
+let load_rf t ~addr ~size rf ~dst = set64 rf (dst lsl 3) (read t ~addr ~size)
+
+let store_rf t ~addr ~size rf ~src = write t ~addr ~size (get64 rf (src lsl 3))
 
 (* Read-only view of the page holding [addr], for in-place decoding:
    byte [i] of the result is guest byte [addr land lnot page_mask + i]. *)

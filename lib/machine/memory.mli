@@ -36,6 +36,14 @@ val read : t -> addr:int -> size:int -> int64
 
 val write : t -> addr:int -> size:int -> int64 -> unit
 
+(** [load_rf t ~addr ~size rf ~dst] is {!read} into slot [dst] of the
+    register file [rf] (native-endian int64 slots, slot [i] at byte
+    [8 * i]; see {!Mda_host.Semantics.oper_rf}); [store_rf] is {!write}
+    of slot [src]. Neither boxes the value. *)
+val load_rf : t -> addr:int -> size:int -> Bytes.t -> dst:int -> unit
+
+val store_rf : t -> addr:int -> size:int -> Bytes.t -> src:int -> unit
+
 (** [page_at t addr] is the page holding guest byte [addr], for
     in-place decoding: byte [i] of it is guest byte
     [addr - addr mod page_size + i]. It ends at the page end or at the

@@ -312,17 +312,15 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
             let tl0 = Bt.Counters.geti (Bt.Runtime.counters rt) Bt.Counters.Translations in
             let st = Session.step sess ~fuel:cfg.slice_fuel in
             global_tick := rt.Bt.Runtime.lru_tick;
-            let dcy = Int64.sub cpu.Machine.Cpu.cycles cy0 in
-            let dtr =
-              Int64.to_int (Int64.sub cpu.Machine.Cpu.align_traps tr0)
-            in
+            let dcy = cpu.Machine.Cpu.cycles - cy0 in
+            let dtr = cpu.Machine.Cpu.align_traps - tr0 in
             let dtl =
               Bt.Counters.geti (Bt.Runtime.counters rt) Bt.Counters.Translations - tl0
             in
             ts.round_translations <- ts.round_translations + dtl;
             if dtr > 0 then begin
               ts.window <- (!round, dtr) :: ts.window;
-              let per = Int64.div dcy (Int64.of_int dtr) in
+              let per = Int64.of_int (dcy / dtr) in
               for _ = 1 to dtr do
                 latencies := per :: !latencies
               done

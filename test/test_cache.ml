@@ -66,6 +66,17 @@ let test_key_sensitivity () =
     (H.Cell.mech ~scale:0.02 ~capacity:128 H.Cell.Direct "164.gzip");
   Alcotest.(check string) "key is stable" (k base) (k base)
 
+(* The default trap cost (1000 cycles) as an override is the same cell,
+   so the trap-cost ablation's 1000 column reuses Figure 16's cells. *)
+let test_default_trap_cost_dedupes () =
+  Alcotest.(check int) "the default is 1000 cycles" 1000
+    Mda_machine.Cost_model.default.Mda_machine.Cost_model.align_trap;
+  let describe trap_cost =
+    H.Cell.describe (H.Cell.mech ~scale:0.02 ?trap_cost H.Cell.Direct "164.gzip")
+  in
+  Alcotest.(check string) "trap 1000 = no override" (describe None) (describe (Some 1000));
+  Alcotest.(check bool) "trap 250 still differs" true (describe None <> describe (Some 250))
+
 let test_corrupt_entry_is_a_miss () =
   let cache = H.Result_cache.create ~dir:(fresh_dir ()) () in
   let result = H.Cell.compute cell in
@@ -321,6 +332,7 @@ let suite =
       [ Alcotest.test_case "miss then hit" `Quick test_miss_then_hit;
         Alcotest.test_case "profile dump round-trips" `Quick test_sites_round_trip;
         Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
+        Alcotest.test_case "default trap cost dedupes" `Quick test_default_trap_cost_dedupes;
         Alcotest.test_case "corrupt entry = miss" `Quick test_corrupt_entry_is_a_miss;
         Alcotest.test_case "garbled values = Error" `Quick test_garbled_values_are_errors;
         Alcotest.test_case "run-stats field table" `Quick test_run_stats_fields;

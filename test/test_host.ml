@@ -184,7 +184,7 @@ let test_mda_load_exhaustive () =
             check64
               (Printf.sprintf "mda load w%d o%d signed=%b" width offset signed)
               expect (Machine.Cpu.get cpu dst);
-            Alcotest.(check int64) "no traps" 0L cpu.Machine.Cpu.align_traps
+            Alcotest.(check int) "no traps" 0 cpu.Machine.Cpu.align_traps
           done)
         [ false; true ])
     [ 2; 4; 8 ]
@@ -213,7 +213,7 @@ let test_mda_store_exhaustive () =
             (Machine.Memory.read_u8 mem (2048 + offset - 1));
         Alcotest.(check int) "byte after" 0xAA
           (Machine.Memory.read_u8 mem (2048 + offset + width));
-        Alcotest.(check int64) "no traps" 0L cpu.Machine.Cpu.align_traps
+        Alcotest.(check int) "no traps" 0 cpu.Machine.Cpu.align_traps
       done)
     [ 2; 4; 8 ]
 

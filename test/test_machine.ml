@@ -129,13 +129,6 @@ let test_cache_stats_and_invalidate () =
   Cache.invalidate_all c;
   Alcotest.(check bool) "miss after invalidate" false (Cache.access c 0)
 
-let test_cache_lines_touched () =
-  let c = Cache.create ~size_bytes:1024 ~assoc:2 ~line_bytes:64 in
-  Alcotest.(check int) "aligned access, one line" 1
-    (List.length (Cache.lines_touched c ~addr:0 ~size:8));
-  Alcotest.(check int) "straddling access, two lines" 2
-    (List.length (Cache.lines_touched c ~addr:60 ~size:8))
-
 let test_cache_validation () =
   Alcotest.check_raises "non-power-of-two line"
     (Invalid_argument "Cache.create: line_bytes (48) must be a power of two")
@@ -154,6 +147,30 @@ let test_hierarchy_costs () =
   (* line-crossing access touches two lines *)
   Alcotest.(check int) "crossing adds a cold line" cost.Cost.l2_miss
     (Mda_machine.Hierarchy.access_data h ~addr:62 ~size:4)
+
+(* An aligned access looks up one L1D line; a straddling one looks up
+   its own line and the next line's base, and stalls for both. *)
+let test_hierarchy_straddle () =
+  let cost = Cost.default in
+  let h = Mda_machine.Hierarchy.create cost in
+  let l1d = h.Mda_machine.Hierarchy.l1d in
+  let lookups () =
+    let hits, misses = Cache.stats l1d in
+    hits + misses
+  in
+  Alcotest.(check int) "aligned: cold stall" cost.Cost.l2_miss
+    (Mda_machine.Hierarchy.access_data h ~addr:0 ~size:8);
+  Alcotest.(check int) "aligned: one lookup" 1 (lookups ());
+  (* 60+8: line 0 (warm) and line 64 (cold) *)
+  Alcotest.(check int) "straddle: warm line + cold line" (0 + cost.Cost.l2_miss)
+    (Mda_machine.Hierarchy.access_data h ~addr:60 ~size:8);
+  Alcotest.(check int) "straddle: two lookups" 3 (lookups ());
+  Alcotest.(check (pair int int)) "straddle: one hit, one miss" (1, 2) (Cache.stats l1d);
+  Alcotest.(check bool) "the second lookup filled line 64" true (Cache.access l1d 64);
+  Alcotest.(check bool) "and no later line" false (Cache.access l1d 128);
+  let h = Mda_machine.Hierarchy.create cost in
+  Alcotest.(check int) "cold straddle: both lines stall" (2 * cost.Cost.l2_miss)
+    (Mda_machine.Hierarchy.access_data h ~addr:60 ~size:8)
 
 (* --- cpu ------------------------------------------------------------------------ *)
 
@@ -174,7 +191,17 @@ let test_cpu_r31_hardwired () =
   let _ =
     run cpu [ H.Lda { ra = 31; rb = 31; disp = 7 }; H.Monitor H.Prog_halt ]
   in
-  Alcotest.(check int64) "writes discarded" 0L (Cpu.get cpu 31)
+  Alcotest.(check int64) "writes discarded" 0L (Cpu.get cpu 31);
+  (* slots 32 and 33 of the register file are not registers *)
+  List.iter
+    (fun r ->
+      Alcotest.check_raises (Printf.sprintf "get r%d" r)
+        (Invalid_argument (Printf.sprintf "Cpu: register %d" r))
+        (fun () -> ignore (Cpu.get cpu r));
+      Alcotest.check_raises (Printf.sprintf "set r%d" r)
+        (Invalid_argument (Printf.sprintf "Cpu: register %d" r))
+        (fun () -> Cpu.set cpu r 1L))
+    [ -1; 32; 33 ]
 
 let test_cpu_lda_ldah () =
   let cpu, _ = mk_cpu () in
@@ -250,7 +277,7 @@ let test_cpu_alignment_trap_emulate () =
   Alcotest.(check int) "one trap" 1 !trapped;
   Alcotest.(check int64) "emulated value" (Mda_util.Bits.sign_extend ~size:4 0xCAFEBABEL)
     (Cpu.get cpu 1);
-  Alcotest.(check int64) "trap counter" 1L cpu.Cpu.align_traps
+  Alcotest.(check int) "trap counter" 1 cpu.Cpu.align_traps
 
 let test_cpu_alignment_trap_retry () =
   (* Retry: handler rewrites the slot, CPU re-executes it. *)
@@ -289,8 +316,8 @@ let test_cpu_alignment_matrix () =
         Cpu.set_handler cpu (fun ~pc:_ ~addr:_ _ -> Cpu.Emulate);
         Cpu.set cpu 2 (Int64.of_int (4096 + off));
         let _ = run cpu [ mk (); H.Monitor H.Prog_halt ] in
-        let expected = if off = 0 then 0L else 1L in
-        Alcotest.(check int64)
+        let expected = if off = 0 then 0 else 1 in
+        Alcotest.(check int)
           (Printf.sprintf "align %d offset %d" align off)
           expected cpu.Cpu.align_traps
       done)
@@ -302,7 +329,7 @@ let test_cpu_ldq_u_never_traps () =
     Memory.write mem ~addr:4096 ~size:8 0x8877665544332211L;
     Cpu.set cpu 2 (Int64.of_int (4096 + off));
     let _ = run cpu [ H.Ldq_u { ra = 1; rb = 2; disp = 0 }; H.Monitor H.Prog_halt ] in
-    Alcotest.(check int64) "no trap" 0L cpu.Cpu.align_traps;
+    Alcotest.(check int) "no trap" 0 cpu.Cpu.align_traps;
     Alcotest.(check int64) "enclosing quad" 0x8877665544332211L (Cpu.get cpu 1)
   done
 
@@ -318,7 +345,123 @@ let test_cpu_cycle_accounting () =
   let c0 = cpu.Cpu.cycles in
   let _ = run cpu [ H.Nop; H.Nop; H.Monitor H.Prog_halt ] in
   Alcotest.(check bool) "cycles advanced" true (cpu.Cpu.cycles > c0);
-  Alcotest.(check int64) "3 insns retired" 3L cpu.Cpu.insns
+  Alcotest.(check int) "3 insns retired" 3 cpu.Cpu.insns
+
+(* --- register file --------------------------------------------------------- *)
+
+(* One instruction of the differential property: memory forms carry the
+   base-register value that puts their effective address in memory. *)
+type rf_step = { insn : H.insn; base : int64 }
+
+let gen_rf_steps =
+  let open QCheck.Gen in
+  (* r31 a quarter of the time, as a source and as a destination *)
+  let reg = frequency [ (1, return 31); (3, int_range 0 30) ] in
+  let operand =
+    oneof [ map (fun r -> H.Rb r) reg; map (fun v -> H.Lit v) (int_range 0 255) ]
+  in
+  let alu =
+    oneof
+      [ (let* op = oneofl (Array.to_list H.all_opers) in
+         let* ra = reg and* rb = operand and* rc = reg in
+         return (H.Opr { op; ra; rb; rc }));
+        (let* op = oneofl [ H.Ext; H.Ins; H.Msk ] in
+         let* width = oneofl [ 2; 4; 8 ] and* high = bool in
+         let* ra = reg and* rb = operand and* rc = reg in
+         return (H.Bytem { op; width; high; ra; rb; rc })) ]
+  in
+  let mem =
+    let* ra = reg and* rb = reg and* base = int_range 0 2048 and* disp = int_range 0 2040 in
+    let* insn =
+      oneofl
+        [ H.Ldl { ra; rb; disp }; H.Ldq_u { ra; rb; disp }; H.Stq_u { ra; rb; disp } ]
+    in
+    return { insn; base = Int64.of_int base }
+  in
+  let step = frequency [ (3, map (fun insn -> { insn; base = 0L }) alu); (1, mem) ] in
+  let value = oneof [ int64; map Int64.of_int (int_range (-300) 300) ] in
+  triple (list_size (int_range 1 12) step) (array_size (return 31) value) int
+
+let print_rf_steps (steps, _, seed) =
+  Printf.sprintf "seed %d: %s" seed
+    (String.concat "; "
+       (List.map
+          (fun s ->
+            Printf.sprintf "%s [base %Ld]" (Mda_host.Pretty.insn_to_string s.insn) s.base)
+          steps))
+
+(* Every operate, byte-manipulation and register-file load/store agrees
+   with the pure semantics on the same inputs — destination and all
+   other registers — and r31 reads zero after each instruction. *)
+let prop_rf_differential =
+  QCheck.Test.make ~name:"register file agrees with the pure semantics" ~count:1000
+    (QCheck.make gen_rf_steps ~print:print_rf_steps)
+    (fun (steps, init, seed) ->
+      let cpu, mem = mk_cpu () in
+      let rng = Random.State.make [| seed |] in
+      for q = 0 to 511 do
+        Memory.write mem ~addr:(8 * q) ~size:8 (Random.State.int64 rng Int64.max_int)
+      done;
+      Array.iteri (Cpu.set cpu) init;
+      Cpu.set_handler cpu (fun ~pc:_ ~addr:_ _ -> Cpu.Emulate);
+      let value = function H.Rb r -> Cpu.get cpu r | H.Lit v -> Int64.of_int v in
+      List.for_all
+        (fun { insn; base } ->
+          let ea rb disp = Int64.to_int (Cpu.get cpu rb) + disp in
+          (match insn with
+          | H.Ldl { rb; _ } | H.Ldq_u { rb; _ } | H.Stq_u { rb; _ } -> Cpu.set cpu rb base
+          | _ -> ());
+          let pre = Array.init 32 (Cpu.get cpu) in
+          let expect = Array.copy pre in
+          let write r v = if r <> H.r31 then expect.(r) <- v in
+          let stored = ref None in
+          (match insn with
+          | H.Opr { op; ra; rb; rc } ->
+            write rc (Mda_host.Semantics.oper op pre.(ra) (value rb))
+          | H.Bytem { op; width; high; ra; rb; rc } ->
+            write rc (Mda_host.Semantics.bytemanip op ~width ~high pre.(ra) (value rb))
+          | H.Ldl { ra; rb; disp } ->
+            write ra
+              (Mda_util.Bits.sign_extend ~size:4
+                 (Memory.read mem ~addr:(ea rb disp) ~size:4))
+          | H.Ldq_u { ra; rb; disp } ->
+            write ra (Memory.read mem ~addr:(ea rb disp land lnot 7) ~size:8)
+          | H.Stq_u { ra; rb; disp } -> stored := Some (ea rb disp land lnot 7, pre.(ra))
+          | _ -> assert false);
+          ignore (run cpu [ insn; H.Monitor H.Prog_halt ]);
+          Array.init 32 (Cpu.get cpu) = expect
+          && Cpu.get cpu 31 = 0L
+          &&
+          match !stored with
+          | Some (addr, v) -> Memory.read mem ~addr ~size:8 = v
+          | None -> true)
+        steps)
+
+(* 20,000 iterations of an 8-instruction loop mixing every hot form
+   allocate (almost) nothing: a boxed int64 per instruction would show
+   as 2+ words each. *)
+let test_cpu_allocation_free () =
+  let cpu, _ = mk_cpu () in
+  let iters = 20_000 in
+  Cpu.set cpu 1 (Int64.of_int iters);
+  Cpu.set cpu 2 4097L;
+  let code =
+    [| H.Ldq_u { ra = 3; rb = 2; disp = 0 };
+       H.Bytem { op = H.Ext; width = 4; high = false; ra = 3; rb = H.Rb 2; rc = 4 };
+       H.Opr { op = H.Addl; ra = 4; rb = H.Lit 3; rc = 4 };
+       H.Stq_u { ra = 4; rb = 2; disp = 8 };
+       H.Ldl { ra = 5; rb = 2; disp = 3 };
+       H.Lda { ra = 1; rb = 1; disp = -1 };
+       H.Bcond { cond = H.Beq; ra = 1; target = 8 };
+       H.Br { ra = 31; target = 0 };
+       H.Monitor H.Prog_halt |]
+  in
+  let before = Gc.minor_words () in
+  ignore (Cpu.run cpu ~fetch:(fun pc -> code.(pc)) ~entry:0 ~fuel:max_int);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "ran the loop" true (cpu.Cpu.insns >= 100_000);
+  if words >= float_of_int cpu.Cpu.insns then
+    Alcotest.failf "%.0f minor words for %d host instructions" words cpu.Cpu.insns
 
 let suite =
   [ ( "machine.memory",
@@ -333,10 +476,10 @@ let suite =
       [ Alcotest.test_case "hit after miss" `Quick test_cache_hit_after_miss;
         Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
         Alcotest.test_case "stats & invalidate" `Quick test_cache_stats_and_invalidate;
-        Alcotest.test_case "lines touched" `Quick test_cache_lines_touched;
         Alcotest.test_case "validation" `Quick test_cache_validation ] );
     ( "machine.hierarchy",
-      [ Alcotest.test_case "miss costs" `Quick test_hierarchy_costs ] );
+      [ Alcotest.test_case "miss costs" `Quick test_hierarchy_costs;
+        Alcotest.test_case "straddle lookups" `Quick test_hierarchy_straddle ] );
     ( "machine.cpu",
       [ Alcotest.test_case "r31 hardwired" `Quick test_cpu_r31_hardwired;
         Alcotest.test_case "lda/ldah" `Quick test_cpu_lda_ldah;
@@ -350,4 +493,6 @@ let suite =
         Alcotest.test_case "alignment matrix" `Quick test_cpu_alignment_matrix;
         Alcotest.test_case "ldq_u never traps" `Quick test_cpu_ldq_u_never_traps;
         Alcotest.test_case "out of fuel" `Quick test_cpu_out_of_fuel;
-        Alcotest.test_case "cycle accounting" `Quick test_cpu_cycle_accounting ] ) ]
+        Alcotest.test_case "cycle accounting" `Quick test_cpu_cycle_accounting;
+        Alcotest.test_case "allocation-free" `Quick test_cpu_allocation_free;
+        QCheck_alcotest.to_alcotest prop_rf_differential ] ) ]
