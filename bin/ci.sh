@@ -217,4 +217,12 @@ echo "cache-served=${PCT:-?}%"
   echo "FAIL: warm run served ${PCT:-0}% from cache (need >= 90%)"
   cat "$WORK/all/warm.err"; exit 1; }
 
+echo "== trap-cost ablation simulates only Figure 16's default-cost cells"
+TRAP_COLD=$(sed -n 's/.*ablate-trapcost:.*cells: \([0-9]*\) computed.*/\1/p' "$WORK/all/cold.err" | tail -1)
+TRAP_WARM=$(sed -n 's/.*ablate-trapcost:.*cells: \([0-9]*\) computed.*/\1/p' "$WORK/all/warm.err" | tail -1)
+echo "ablate-trapcost computed: cold=${TRAP_COLD:-?} warm=${TRAP_WARM:-?}"
+[ "$TRAP_COLD" = 12 ] && [ "$TRAP_WARM" = 0 ] || {
+  echo "FAIL: ablate-trapcost must compute 12 cells cold (3 benchmarks x 4 mechanisms) and 0 warm"
+  cat "$WORK/all/cold.err" "$WORK/all/warm.err"; exit 1; }
+
 echo "CI OK"

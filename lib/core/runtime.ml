@@ -657,9 +657,8 @@ let interpret ?(mode = Interp.Interpreted { profile = true }) t ~entry =
   let mechanism = match mode with Interp.Native -> "native-x86" | Interpreted _ -> "interpreter" in
   { (stats t ~stop) with mechanism; blocks = Hashtbl.length t.blocks_decoded }
 
-let interpret_program ?mode ?(cost = Machine.Cost_model.default)
-    ?(max_guest_insns = Int64.max_int) ~mem ~entry () =
-  let config = { (default_config Mechanism.Direct) with cost; max_guest_insns } in
+let interpret_program ?mode ?(max_guest_insns = Int64.max_int) ~mem ~entry () =
+  let config = { (default_config Mechanism.Direct) with max_guest_insns } in
   let t = create ~config ~mem () in
   let stats = interpret ?mode t ~entry in
   (stats, t.profile)

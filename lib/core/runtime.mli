@@ -131,7 +131,6 @@ val interpret : ?mode:Interp.mode -> t -> entry:int -> Run_stats.t
     collected profile. *)
 val interpret_program :
   ?mode:Interp.mode ->
-  ?cost:Mda_machine.Cost_model.t ->
   ?max_guest_insns:int64 ->
   mem:Mda_machine.Memory.t ->
   entry:int ->

@@ -4,7 +4,8 @@
 
    - [trap_cost]: the whole trade-off space hinges on the ~1000-cycle
      misalignment trap (paper's cited figure). How do the Figure-16
-     geomeans move if traps cost 4x less or 4x more?
+     geomeans move if traps cost 4x less or 4x more? Every column is
+     re-priced from Figure 16's default-cost runs, not re-simulated.
    - [chaining]: block chaining is a baseline DBT optimization the paper
      assumes; switching it off shows how much of every mechanism's
      runtime is dispatcher overhead rather than MDA handling.
@@ -37,18 +38,21 @@ let trap_mechs =
   [ Experiment.best_eh_spec; Experiment.best_dynamic_spec; Cell.Static_profiling;
     Cell.Direct ]
 
+(* The cycles of run [s] had each of its traps cost [align_trap] instead
+   of the default: the CPU charges the trap cost once per counted trap
+   and no decision of a run reads the cycle counter, so only the traps'
+   share of the total moves. *)
+let cycles_at ~align_trap (s : Bt.Run_stats.t) =
+  let delta = align_trap - Machine.Cost_model.default.align_trap in
+  Int64.add s.cycles (Int64.mul s.traps (Int64.of_int delta))
+
 let trap_cost ?(opts = Experiment.default_options) () =
   let scale = opts.Experiment.scale in
   let benchmarks = benchmarks_of opts in
   let ex = Experiment.exec_of opts in
-  let cell trap spec name = Cell.mech ~scale ~trap_cost:trap spec name in
+  let cell spec name = Cell.mech ~scale spec name in
   Exec.prefetch ex
-    (List.concat_map
-       (fun trap ->
-         List.concat_map
-           (fun name -> List.map (fun spec -> cell trap spec name) trap_mechs)
-           benchmarks)
-       trap_costs);
+    (List.concat_map (fun name -> List.map (fun spec -> cell spec name) trap_mechs) benchmarks);
   let table =
     T.create
       (Array.of_list
@@ -57,7 +61,9 @@ let trap_cost ?(opts = Experiment.default_options) () =
   in
   List.iter
     (fun trap ->
-      let cycles spec name = Exec.cycles ex (cell trap spec name) in
+      let cycles spec name =
+        Int64.to_float (cycles_at ~align_trap:trap (Exec.stats ex (cell spec name)))
+      in
       let geo spec =
         Experiment.geomean
           (List.map

@@ -9,7 +9,6 @@
 
 module W = Mda_workloads
 module Bt = Mda_bt
-module Machine = Mda_machine
 module Spec = Mda_mech.Mech_spec
 
 (* Mechanism by specification: the registry's type, re-exported so
@@ -33,7 +32,6 @@ type t = {
   input : W.Gen.input;
   variant : W.Workload.variant;
   kind : kind;
-  trap_cost : int option; (* override cost model's align_trap cycles *)
   chaining : bool;
   capacity : int option; (* bounded code cache, in live host insns *)
   rules : Mda_host.Peephole.t option;
@@ -41,26 +39,20 @@ type t = {
          across worker processes; [compute] activates them *)
 }
 
-(* A trap-cost override equal to the default is no override: storing it
-   as [None] gives the cell the default's key, so the trap-cost
-   ablation's default column reuses Figure 16's cells. *)
-let make ?(input = W.Gen.Ref) ?(variant = W.Workload.Default) ?trap_cost ?(chaining = true)
-    ?capacity ?rules ~scale kind bench =
-  let trap_cost =
-    match trap_cost with
-    | Some c when c = Machine.Cost_model.default.align_trap -> None
-    | tc -> tc
-  in
-  { bench; scale; input; variant; kind; trap_cost; chaining; capacity; rules }
+let make ?(input = W.Gen.Ref) ?(variant = W.Workload.Default) ?(chaining = true) ?capacity
+    ?rules ~scale kind bench =
+  { bench; scale; input; variant; kind; chaining; capacity; rules }
 
-let mech ?input ?variant ?trap_cost ?chaining ?capacity ?rules ~scale spec bench =
-  make ?input ?variant ?trap_cost ?chaining ?capacity ?rules ~scale (Spec.Mech spec) bench
+let mech ?input ?variant ?chaining ?capacity ?rules ~scale spec bench =
+  make ?input ?variant ?chaining ?capacity ?rules ~scale (Spec.Mech spec) bench
 
-let interp ?input ?variant ?trap_cost ?chaining ~scale bench =
-  make ?input ?variant ?trap_cost ?chaining ~scale (Spec.Interp { native = false }) bench
+(* No [?chaining]: an interpreter run has no chains, so the knob could
+   only split one result across two keys. *)
+let interp ?input ?variant ~scale bench =
+  make ?input ?variant ~scale (Spec.Interp { native = false }) bench
 
-let native ?input ?variant ?trap_cost ?chaining ~scale bench =
-  make ?input ?variant ?trap_cost ?chaining ~scale (Spec.Interp { native = true }) bench
+let native ?input ?variant ~scale bench =
+  make ?input ?variant ~scale (Spec.Interp { native = true }) bench
 
 (* --- canonical description (cache-key material) ------------------------ *)
 
@@ -69,17 +61,17 @@ let kind_describe = function
   | Spec.Interp { native } -> if native then "native" else "interp"
 
 (* Injective over everything that can change a cell's result; %h prints
-   floats losslessly. v2 added the bounded-cache capacity; v3 adds the
+   floats losslessly. v2 added the bounded-cache capacity; v3 the
    peephole rule-file digest, so a changed rule file can never alias a
-   cached result mined under different rules. *)
+   cached result mined under different rules; v4 drops the trap-cost
+   override (cells always run the default cost model). *)
 let describe t =
   Printf.sprintf
-    "cell-v3 bench=%s scale=%h input=%s variant=%s kind=%s trap=%s chain=%b cap=%s rules=%s"
+    "cell-v4 bench=%s scale=%h input=%s variant=%s kind=%s chain=%b cap=%s rules=%s"
     t.bench t.scale
     (match t.input with W.Gen.Train -> "train" | W.Gen.Ref -> "ref")
     (match t.variant with W.Workload.Default -> "default" | W.Workload.Aligned_opt -> "aligned-opt")
     (kind_describe t.kind)
-    (match t.trap_cost with None -> "default" | Some c -> string_of_int c)
     t.chaining
     (match t.capacity with None -> "unbounded" | Some c -> string_of_int c)
     (match t.rules with None -> "none" | Some rs -> Mda_host.Peephole.digest rs)
@@ -120,11 +112,6 @@ let subject ~scale ~input bench =
 let mechanism_of_spec ~scale ~input bench spec =
   (Spec.prepare (subject ~scale ~input bench) spec).Spec.mechanism
 
-let cost_of t =
-  match t.trap_cost with
-  | None -> Machine.Cost_model.default
-  | Some align_trap -> { Machine.Cost_model.default with align_trap }
-
 (* [?sink] attaches a trace sink (cycle-stamped BT events) to Mech
    cells. Tracing is an observation artifact: the returned result is
    bit-identical with and without a sink, which is what keeps traced
@@ -137,9 +124,7 @@ let compute ?sink t =
   match t.kind with
   | Spec.Interp { native } ->
     let mode = if native then Bt.Interp.Native else Bt.Interp.Interpreted { profile = true } in
-    let stats, profile =
-      Bt.Runtime.interpret_program ~mode ~cost:(cost_of t) ~mem ~entry ()
-    in
+    let stats, profile = Bt.Runtime.interpret_program ~mode ~mem ~entry () in
     { stats; sites = dump_profile profile }
   | Spec.Mech spec ->
     let rules = Option.map Mda_host.Peephole.activate t.rules in
@@ -149,7 +134,6 @@ let compute ?sink t =
     let on_event = Option.map Mda_obs.Trace.hook sink in
     let config =
       { (Bt.Runtime.default_config p.Spec.mechanism) with
-        cost = cost_of t;
         chaining = t.chaining;
         faults = { Bt.Runtime.no_faults with cache_capacity = t.capacity };
         on_event;

@@ -4,7 +4,9 @@
     (benchmark, mechanism, input, scale) simulation; mechanisms needing
     per-benchmark preparation (train profiles, static analysis) name the
     preparation, which {!compute} performs, so cells stay small,
-    deterministic and content-addressable. *)
+    deterministic and content-addressable. Every cell runs the default
+    {!Mda_machine.Cost_model}; a cost sweep derives its columns from the
+    event counts (see [Ablation.cycles_at]). *)
 
 (** Mechanism by specification: {!Mda_mech.Mech_spec.t}, re-exported so
     experiment code names specs as [Cell.Direct], [Cell.Static_profiling], … *)
@@ -27,9 +29,6 @@ type t = {
   input : Mda_workloads.Gen.input;
   variant : Mda_workloads.Workload.variant;
   kind : kind;
-  trap_cost : int option;
-      (** override the cost model's align_trap cycles; {!make} stores an
-          override equal to the default as [None] *)
   chaining : bool;
   capacity : int option;
       (** bounded code cache, in live host insns ([Mech] cells only;
@@ -44,7 +43,6 @@ type t = {
 val make :
   ?input:Mda_workloads.Gen.input ->
   ?variant:Mda_workloads.Workload.variant ->
-  ?trap_cost:int ->
   ?chaining:bool ->
   ?capacity:int ->
   ?rules:Mda_host.Peephole.t ->
@@ -57,7 +55,6 @@ val make :
 val mech :
   ?input:Mda_workloads.Gen.input ->
   ?variant:Mda_workloads.Workload.variant ->
-  ?trap_cost:int ->
   ?chaining:bool ->
   ?capacity:int ->
   ?rules:Mda_host.Peephole.t ->
@@ -69,8 +66,6 @@ val mech :
 val interp :
   ?input:Mda_workloads.Gen.input ->
   ?variant:Mda_workloads.Workload.variant ->
-  ?trap_cost:int ->
-  ?chaining:bool ->
   scale:float ->
   string ->
   t
@@ -78,8 +73,6 @@ val interp :
 val native :
   ?input:Mda_workloads.Gen.input ->
   ?variant:Mda_workloads.Workload.variant ->
-  ?trap_cost:int ->
-  ?chaining:bool ->
   scale:float ->
   string ->
   t

@@ -57,25 +57,12 @@ let test_key_sensitivity () =
   differs "input changes key"
     (H.Cell.mech ~scale:0.02 ~input:W.Gen.Train H.Cell.Direct "164.gzip");
   differs "benchmark changes key" (H.Cell.mech ~scale:0.02 H.Cell.Direct "188.ammp");
-  differs "trap cost changes key"
-    (H.Cell.mech ~scale:0.02 ~trap_cost:250 H.Cell.Direct "164.gzip");
   differs "chaining changes key"
     (H.Cell.mech ~scale:0.02 ~chaining:false H.Cell.Direct "164.gzip");
   differs "kind changes key" (H.Cell.interp ~scale:0.02 "164.gzip");
   differs "cache capacity changes key"
     (H.Cell.mech ~scale:0.02 ~capacity:128 H.Cell.Direct "164.gzip");
   Alcotest.(check string) "key is stable" (k base) (k base)
-
-(* The default trap cost (1000 cycles) as an override is the same cell,
-   so the trap-cost ablation's 1000 column reuses Figure 16's cells. *)
-let test_default_trap_cost_dedupes () =
-  Alcotest.(check int) "the default is 1000 cycles" 1000
-    Mda_machine.Cost_model.default.Mda_machine.Cost_model.align_trap;
-  let describe trap_cost =
-    H.Cell.describe (H.Cell.mech ~scale:0.02 ?trap_cost H.Cell.Direct "164.gzip")
-  in
-  Alcotest.(check string) "trap 1000 = no override" (describe None) (describe (Some 1000));
-  Alcotest.(check bool) "trap 250 still differs" true (describe None <> describe (Some 250))
 
 let test_corrupt_entry_is_a_miss () =
   let cache = H.Result_cache.create ~dir:(fresh_dir ()) () in
@@ -200,6 +187,22 @@ let test_no_cache_bypass () =
   Alcotest.(check int) "computed again" 1 c.H.Exec.computed;
   Alcotest.(check int) "never a cache hit" 0 c.H.Exec.cache_hits
 
+(* The trap-cost sweep re-prices Figure 16's default-cost cells instead
+   of simulating one cell per trap cost: it requests one cell per
+   (benchmark, mechanism), and Figure 16 then finds all of them memoized. *)
+let test_trap_cost_ablation_shares_fig16 () =
+  let ex = H.Exec.create () in
+  let opts = { Test_golden.golden_opts with H.Experiment.exec = Some ex } in
+  ignore (H.Ablation.trap_cost ~opts ());
+  let after_ablation = H.Exec.counters ex in
+  Alcotest.(check int) "3 benchmarks x 4 mechanisms computed" 12
+    after_ablation.H.Exec.computed;
+  Alcotest.(check int) "no repeated request" 0 after_ablation.H.Exec.memo_hits;
+  ignore (H.Fig16.run ~opts ());
+  let fig16 = H.Exec.diff_counters (H.Exec.counters ex) after_ablation in
+  Alcotest.(check int) "fig16 reuses all 12" 12 fig16.H.Exec.memo_hits;
+  Alcotest.(check int) "fig16 computes only its DPEH column" 3 fig16.H.Exec.computed
+
 let test_racing_writers () =
   (* two concurrent mdabench invocations writing into the same cache
      directory: the advisory lock serializes stores, so after both
@@ -207,7 +210,7 @@ let test_racing_writers () =
      files *)
   let dir = fresh_dir () in
   let cells =
-    List.init 6 (fun i -> H.Cell.mech ~scale:0.02 ~trap_cost:(100 + i) H.Cell.Direct "164.gzip")
+    List.init 6 (fun i -> H.Cell.mech ~scale:0.02 ~capacity:(100 + i) H.Cell.Direct "164.gzip")
   in
   let result = H.Cell.compute cell in
   let writer () =
@@ -332,7 +335,6 @@ let suite =
       [ Alcotest.test_case "miss then hit" `Quick test_miss_then_hit;
         Alcotest.test_case "profile dump round-trips" `Quick test_sites_round_trip;
         Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
-        Alcotest.test_case "default trap cost dedupes" `Quick test_default_trap_cost_dedupes;
         Alcotest.test_case "corrupt entry = miss" `Quick test_corrupt_entry_is_a_miss;
         Alcotest.test_case "garbled values = Error" `Quick test_garbled_values_are_errors;
         Alcotest.test_case "run-stats field table" `Quick test_run_stats_fields;
@@ -340,6 +342,8 @@ let suite =
           test_exec_recomputes_after_corruption;
         Alcotest.test_case "exec cache flow" `Quick test_exec_cache_flow;
         Alcotest.test_case "--no-cache bypass" `Quick test_no_cache_bypass;
+        Alcotest.test_case "trap-cost ablation computes only Figure 16's cells" `Quick
+          test_trap_cost_ablation_shares_fig16;
         Alcotest.test_case "racing writers do not tear" `Quick test_racing_writers;
         Alcotest.test_case "contended lock is out-waited" `Quick
           test_lock_contention_backoff;

@@ -83,6 +83,10 @@ let cases =
     ("fig15", fun () -> H.Experiment.render (H.Fig15.run ~opts:golden_opts ()));
     ("fig16", fun () -> H.Experiment.render (H.Fig16.run ~opts:golden_opts ()));
     ("figsa", fun () -> H.Experiment.render (H.Figsa.run ~opts:golden_opts ()));
+    (* the trap-cost sweep: its non-default columns are derived from the
+       default-cost cells, and must match a full re-simulation *)
+    ( "ablate-trapcost",
+      fun () -> H.Experiment.render (H.Ablation.trap_cost ~opts:golden_opts ()) );
     ("census-stack", census_stack);
     ("explain-pr8", explain_rules);
     ("chaos-42", cli "chaos --seed 42 --plans 3");

@@ -289,6 +289,51 @@ let test_full_flush_still_correct () =
       (Machine.Memory.read mem_f ~addr:(data + 2 + (k * 16)) ~size:4)
   done
 
+(* --- trap cost ---------------------------------------------------------------- *)
+
+(* The trap-cost ablation re-prices default-cost runs instead of
+   re-simulating them ([Ablation.cycles_at]). That is exact only while
+   the trap cost is charged once per counted trap and nothing a run does
+   depends on it: a run at another trap cost must match the default run
+   in every statistic but [cycles], and its [cycles] must be the
+   re-priced default. *)
+let test_trap_cost_is_a_linear_term () =
+  let module H = Mda_harness in
+  let module W = Mda_workloads.Workload in
+  let scale = Test_golden.golden_opts.H.Experiment.scale in
+  let run ~align_trap spec bench =
+    let mechanism = H.Cell.mechanism_of_spec ~scale ~input:Mda_workloads.Gen.Ref bench spec in
+    let config =
+      { (Bt.Runtime.default_config mechanism) with
+        cost = { Machine.Cost_model.default with align_trap } }
+    in
+    let w = W.instantiate ~scale bench in
+    Bt.Runtime.run (Bt.Runtime.create ~config ~mem:(W.fresh_memory w) ()) ~entry:(W.entry w)
+  in
+  let traps = ref 0L in
+  List.iter
+    (fun bench ->
+      List.iter
+        (fun spec ->
+          let label = bench ^ " " ^ Mda_mech.Mech_spec.describe spec in
+          let default = run ~align_trap:Machine.Cost_model.default.align_trap spec bench in
+          traps := Int64.add !traps default.Bt.Run_stats.traps;
+          List.iter
+            (fun align_trap ->
+              let s = run ~align_trap spec bench in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s @%d: counts unchanged" label align_trap)
+                true
+                ({ s with cycles = default.cycles } = default);
+              Alcotest.(check int64)
+                (Printf.sprintf "%s @%d: cycles re-priced" label align_trap)
+                (H.Ablation.cycles_at ~align_trap default)
+                s.cycles)
+            [ 250; 4000 ])
+        H.Ablation.trap_mechs)
+    Test_golden.golden_opts.benchmarks;
+  Alcotest.(check bool) "the runs trap" true (!traps > 0L)
+
 (* --- statistics sanity -------------------------------------------------------- *)
 
 let test_cache_miss_stats_reported () =
@@ -413,5 +458,6 @@ let suite =
         Alcotest.test_case "chaining off is correct" `Quick test_chaining_off_still_correct;
         Alcotest.test_case "full flush is correct" `Quick test_full_flush_still_correct;
         Alcotest.test_case "cache-miss stats" `Quick test_cache_miss_stats_reported;
+        Alcotest.test_case "trap cost is a linear term" `Quick test_trap_cost_is_a_linear_term;
         Alcotest.test_case "profile survives retranslation" `Quick
           test_profile_survives_retranslation ] ) ]
