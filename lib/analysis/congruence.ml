@@ -132,7 +132,7 @@ let mul_const a c =
     of_low ~bits:(min 32 (ba + tz c)) ~value:(va * c)
 
 (* Final address truncation: ea = value mod 2^32, as a non-negative
-   int64 — exactly {!Mda_bt.Interp.eff_addr}'s convention. A
+   int64 — exactly the interpreter's effective-address convention. A
    power-of-two stride divides 2^32, so congruences pass through. *)
 let low32 = function
   | Bot -> Bot

@@ -58,8 +58,9 @@ val add : t -> t -> t
 (** Raw multiplication by a non-negative constant (address scale). *)
 val mul_const : t -> int -> t
 
-(** Final address truncation to the unsigned 32-bit pattern —
-    {!Mda_bt.Interp.eff_addr}'s convention. *)
+(** Final address truncation to the unsigned 32-bit pattern — the
+    interpreter's effective-address convention (the full sum of base,
+    scaled index and displacement, mod 2^32). *)
 val low32 : t -> t
 
 (** Longword sign-extension canonicalization (Lea). *)

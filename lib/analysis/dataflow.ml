@@ -138,7 +138,8 @@ let operand st = function
   | GI.Reg r -> get st r
   | GI.Imm i -> C.const (Int64.of_int (Int32.to_int i))
 
-(* Abstract effective address, mod 2^32 ({!Mda_bt.Interp.eff_addr}). *)
+(* Abstract effective address: base + index*scale + disp, summed in
+   full and truncated once, mod 2^32, as the interpreter computes it. *)
 let eff st ({ base; index; disp } : GI.addr) =
   let b = match base with Some r -> get st r | None -> C.const 0L in
   let i =
@@ -153,7 +154,7 @@ let bump_esp st delta =
 
 (* Abstract state update of one instruction (memory operands are
    observed separately by the classification pass). Mirrors
-   {!Mda_bt.Interp.exec_block}; anything whose result the domain cannot
+   {!Mda_bt.Interp.run_block}; anything whose result the domain cannot
    express havocs exactly {!GI.defs}. *)
 let step st (insn : GI.insn) =
   match insn with

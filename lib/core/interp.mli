@@ -7,9 +7,14 @@
     interpreter↔translated-code context switch free and keeping the two
     execution engines comparable: differential tests require identical
     final state from both. The guest ISA permits MDAs, so the
-    interpreter never traps — it reports every access to [on_mem]; in
-    [Native] mode a misaligned access pays the hardware split-access
-    penalty instead. *)
+    interpreter never traps — it reports every access to an
+    {!observer}; in [Native] mode a misaligned access pays the hardware
+    split-access penalty instead.
+
+    {!run_block} allocates nothing per guest instruction or per block:
+    its observer receives each access as plain ints and bools.
+    {!exec_block} is a thin adapter over it for callers that want a
+    {!mem_event} record per access. *)
 
 type mode =
   | Interpreted of { profile : bool }
@@ -29,8 +34,28 @@ type outcome = Fallthrough of int | Halted
 
 exception Guest_fault of string
 
-(** Execute [block] once against the CPU's registers and memory,
-    reporting each data reference to [on_mem]. *)
+(** The observer of every data reference: the static instruction
+    address, the effective address, the width in bytes, whether it is a
+    store, and whether it is naturally aligned. A load–modify–write
+    reports a load and then a store at the same address. *)
+type observer = guest_addr:int -> ea:int -> size:int -> store:bool -> aligned:bool -> unit
+
+(** [run_block cpu mode block observe] executes [block] once against the
+    CPU's registers and memory and returns the guest address control
+    goes to next, or {!halted}. Per access it charges the split-access or
+    profiling cost, calls [observe], counts the memory op and charges the
+    cache hierarchy, in that order, before touching memory: an access
+    outside memory raises [Memory.Out_of_bounds] with that bookkeeping
+    done and no register written. Raises {!Guest_fault} if the block
+    ends without a control transfer. *)
+val run_block : Mda_machine.Cpu.t -> mode -> Block.t -> observer -> int
+
+(** {!run_block}'s result after a [Halt]. Guest addresses are never
+    negative. *)
+val halted : int
+
+(** {!run_block} with each access reported to [on_mem] as a
+    {!mem_event}. *)
 val exec_block :
   Mda_machine.Cpu.t -> mode -> Block.t -> on_mem:(mem_event -> unit) -> outcome
 
@@ -41,6 +66,3 @@ val cond_holds : Mda_machine.Cpu.t -> Mda_guest.Isa.cond -> bool
 
 (** 32-bit ALU semantics (results follow the longword convention). *)
 val binop_result : Mda_guest.Isa.binop -> int64 -> int64 -> int64
-
-(** Effective address of a guest memory operand, mod 2^32. *)
-val eff_addr : Mda_machine.Cpu.t -> Mda_guest.Isa.addr -> int

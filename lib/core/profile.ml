@@ -14,10 +14,12 @@ type t = { sites : (int, site) Hashtbl.t }
 
 let create () = { sites = Hashtbl.create 256 }
 
+(* [Hashtbl.find], not [find_opt]: [record] runs once per interpreted
+   access and must not allocate an option. *)
 let site t addr =
-  match Hashtbl.find_opt t.sites addr with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.sites addr with
+  | s -> s
+  | exception Not_found ->
     let s = { refs = 0; mdas = 0 } in
     Hashtbl.replace t.sites addr s;
     s

@@ -141,7 +141,19 @@ type t = {
   patch_attempts : (int, int) Hashtbl.t; (* guest addr -> failed patch attempts *)
   scratch : Translate.scratch;
   (* this runtime's emission arena, reused across every translation *)
+  phase1_mode : Interp.mode;
+  phase1_observer : Interp.observer;
+  (* phase 1's interpreter mode and memory observer, fixed by the
+     mechanism and built once, so an interpreted block allocates nothing *)
 }
+
+(* The interpreter's memory observer: ground-truth reference and MDA
+   counts, plus the per-site alignment profile when [profiling]. *)
+let observer counters profile ~profiling : Interp.observer =
+ fun ~guest_addr ~ea:_ ~size:_ ~store:_ ~aligned ->
+  Counters.incr counters Counters.Memrefs;
+  if not aligned then Counters.incr counters Counters.Mdas;
+  if profiling then Profile.record profile ~guest_addr ~aligned
 
 let create ?(config = default_config (Mechanism.Exception_handling { rearrange = false }))
     ?cache ~mem () =
@@ -153,22 +165,26 @@ let create ?(config = default_config (Mechanism.Exception_handling { rearrange =
     invalid_arg "Runtime.create: a bounded code cache cannot back an immutable AOT cache"
   | _ -> ());
   let hier = Machine.Hierarchy.create config.cost in
+  let counters = Counters.create () and profile = Profile.create () in
+  let profiling = Mechanism.profiles_alignment config.mechanism in
   let cpu =
     Machine.Cpu.create ~code_base:Layout.code_cache_base ~mem ~hier ~cost:config.cost ()
   in
   let t =
     { cpu;
       cache = (match cache with Some c -> c | None -> Code_cache.create ());
-      profile = Profile.create ();
+      profile;
       config;
       blocks_decoded = Hashtbl.create 256;
-      counters = Counters.create ();
+      counters;
       fuel_left = max 0 config.fuel;
       lru_tick = 0;
       os_fixup_only = false;
       degraded = Hashtbl.create 8;
       patch_attempts = Hashtbl.create 8;
-      scratch = Translate.create_scratch () }
+      scratch = Translate.create_scratch ();
+      phase1_mode = Interpreted { profile = profiling };
+      phase1_observer = observer counters profile ~profiling }
   in
   (* A pre-populated (AOT) cache arrives with its translations already
      emitted, so seed the expansion-ratio counters the dynamic path
@@ -206,9 +222,9 @@ let guest_block t pc =
   match Block.discover t.cpu.Machine.Cpu.mem ~pc with Ok b -> Some b | Error _ -> None
 
 let block_of t pc =
-  match Hashtbl.find_opt t.blocks_decoded pc with
-  | Some b -> b
-  | None -> begin
+  match Hashtbl.find t.blocks_decoded pc with
+  | b -> b
+  | exception Not_found -> begin
     match Block.discover t.cpu.Machine.Cpu.mem ~pc with
     | Ok b ->
       Hashtbl.replace t.blocks_decoded pc b;
@@ -506,23 +522,14 @@ let retranslate_block t (brec : Code_cache.block_rec) =
 
 (* --- execution -------------------------------------------------------- *)
 
-(* The interpreter's memory observer: ground-truth reference and MDA
-   counts, plus the per-site alignment profile when [profiling]. *)
-let on_mem t ~profiling =
-  let c = t.counters and profile = t.profile in
-  fun (ev : Interp.mem_event) ->
-    Counters.incr c Counters.Memrefs;
-    if not ev.aligned then Counters.incr c Counters.Mdas;
-    if profiling then Profile.record profile ~guest_addr:ev.guest_addr ~aligned:ev.aligned
-
 (* Interpret the block at [pc] once. The one guest interpreter driver:
    phase 1 of [step], and the whole of [interpret]. *)
-let interp_block t mode ~on_mem pc =
+let interp_block t mode observer pc =
   let block = block_of t pc in
   let n = Block.length block in
   Counters.addi t.counters Counters.Guest_insns n;
   Counters.addi t.counters Counters.Interp_insns n;
-  Interp.exec_block t.cpu mode block ~on_mem
+  Interp.run_block t.cpu mode block observer
 
 (* Chain an unchained Monitor exit into a direct branch when its target
    is (still) translated. *)
@@ -580,11 +587,8 @@ let step t pc =
     let threshold = Mechanism.heating_threshold t.config.mechanism in
     if brec.execs < threshold then begin
       brec.execs <- brec.execs + 1;
-      let profiling = Mechanism.profiles_alignment t.config.mechanism in
-      let mode = Interp.Interpreted { profile = profiling } in
-      match interp_block t mode ~on_mem:(on_mem t ~profiling) pc with
-      | Interp.Fallthrough next -> `Continue next
-      | Interp.Halted -> `Halt
+      let next = interp_block t t.phase1_mode t.phase1_observer pc in
+      if next = Interp.halted then `Halt else `Continue next
     end
     else begin
       let entry = translate_block t brec in
@@ -643,15 +647,14 @@ let stats t ~(stop : Run_stats.stop_reason) : Run_stats.t =
    chaos oracle, and — in [Native] mode — the Figure-1 experiment of
    running the binary on MDA-tolerant X86 hardware. *)
 let interpret ?(mode = Interp.Interpreted { profile = true }) t ~entry =
-  let on_mem = on_mem t ~profiling:true in
+  let observer = observer t.counters t.profile ~profiling:true in
   let limit = t.config.max_guest_insns in
   let rec go pc =
     if Int64.of_int (Counters.geti t.counters Counters.Guest_insns) >= limit then
       Run_stats.Insn_limit
     else
-      match interp_block t mode ~on_mem pc with
-      | Interp.Fallthrough next -> go next
-      | Interp.Halted -> Run_stats.Halted
+      let next = interp_block t mode observer pc in
+      if next = Interp.halted then Run_stats.Halted else go next
   in
   let stop = go entry in
   let mechanism = match mode with Interp.Native -> "native-x86" | Interpreted _ -> "interpreter" in

@@ -95,6 +95,10 @@ type t = {
       (** guest addr → failed patch attempts so far *)
   scratch : Translate.scratch;
       (** this runtime's emission arena, reused across translations *)
+  phase1_mode : Interp.mode;
+  phase1_observer : Interp.observer;
+      (** phase 1's interpreter mode and memory observer, fixed by the
+          mechanism and built once *)
 }
 
 (** Fresh runtime over [mem] (which must already hold the guest image).

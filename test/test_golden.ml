@@ -80,6 +80,9 @@ let cases =
     (* the only Native path (split-access charge) and the per-site
        profile histogram: the interpreter's two otherwise unpinned views *)
     ("fig1", fun () -> H.Experiment.render (H.Fig1.run ~opts:golden_opts ()));
+    (* the heating-threshold sweep: its low-threshold columns are mostly
+       phase-1 interpreter cycles *)
+    ("fig10", fun () -> H.Experiment.render (H.Fig10.run ~opts:golden_opts ()));
     ("fig15", fun () -> H.Experiment.render (H.Fig15.run ~opts:golden_opts ()));
     ("fig16", fun () -> H.Experiment.render (H.Fig16.run ~opts:golden_opts ()));
     ("figsa", fun () -> H.Experiment.render (H.Figsa.run ~opts:golden_opts ()));

@@ -13,7 +13,7 @@ let data = 0x2000
 
 (* Run a straight-line instruction list (plus Halt) through the
    interpreter on a small machine; returns (cpu, mem). *)
-let run ?(setup = fun _ _ -> ()) insns =
+let run ?(setup = fun _ _ -> ()) ?(on_mem = fun _ -> ()) insns =
   let image, _ = G.Encode.encode_program (Array.of_list (insns @ [ GI.Halt ])) in
   let mem = Machine.Memory.create ~size_bytes:65536 in
   Machine.Memory.load_image mem ~addr:0x1000 image;
@@ -26,8 +26,7 @@ let run ?(setup = fun _ _ -> ()) insns =
   | Error e -> Alcotest.failf "discover: %a" Bt.Block.pp_error e
   | Ok block -> (
     match
-      Bt.Interp.exec_block cpu (Interpreted { profile = false }) block
-        ~on_mem:(fun _ -> ())
+      Bt.Interp.exec_block cpu (Interpreted { profile = false }) block ~on_mem
     with
     | Bt.Interp.Halted -> ()
     | Bt.Interp.Fallthrough _ -> Alcotest.fail "expected halt"));
@@ -247,6 +246,214 @@ let test_mem_events () =
     Alcotest.(check bool) "store aligned" true e2.Bt.Interp.aligned
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
+(* --- pins for the paths the unboxed loop takes -------------------------- *)
+
+let flag cpu i = Machine.Cpu.get cpu i
+
+let test_rmw_narrow_and_quad () =
+  (* S1/S2/S8 read-modify-writes operate on the raw loaded value, without
+     the longword sign extension an S4 one applies; the store truncates
+     the ALU result to the access width *)
+  let setup _ mem =
+    Machine.Memory.write mem ~addr:data ~size:8 0x77665544332211FFL;
+    Machine.Memory.write mem ~addr:(data + 16) ~size:8 0x7766554433FFFFFFL;
+    Machine.Memory.write mem ~addr:(data + 32) ~size:8 0x0000000100000005L;
+    Machine.Memory.write mem ~addr:(data + 48) ~size:8 0xF0F0F0F0F0F0F0F0L
+  in
+  let rmw op disp size src = GI.Rmw { op; dst = GI.addr_abs (data + disp); src; size } in
+  (* the encoding has no 8-byte RMW, so the block is built directly *)
+  let insns =
+    [| rmw GI.Shr 0 GI.S1 (GI.Imm 1l);
+       rmw GI.Shr 16 GI.S2 (GI.Imm 4l);
+       rmw GI.Or 48 GI.S8 (GI.Imm 0x0Fl);
+       rmw GI.Add 32 GI.S8 (GI.Imm 1l);
+       GI.Halt |]
+  in
+  let addrs = Array.init 5 (fun i -> 0x1000 + i) in
+  let block = { Bt.Block.start = 0x1000; insns; addrs; next = 0x1005 } in
+  let mem = Machine.Memory.create ~size_bytes:65536 in
+  let cost = Machine.Cost_model.default in
+  let cpu = Machine.Cpu.create ~mem ~hier:(Machine.Hierarchy.create cost) ~cost () in
+  setup cpu mem;
+  Alcotest.(check bool) "halts" true
+    (Bt.Interp.exec_block cpu (Interpreted { profile = false }) block ~on_mem:ignore
+    = Bt.Interp.Halted);
+  let rd addr size = Machine.Memory.read mem ~addr ~size in
+  check64 "S1: 0xFF >> 1, zero-extended" 0x776655443322117FL (rd data 8);
+  check64 "S2: 0xFFFF >> 4, zero-extended" 0x7766554433FF0FFFL (rd (data + 16) 8);
+  check64 "S8 Or keeps all 64 bits" 0xF0F0F0F0F0F0F0FFL (rd (data + 48) 8);
+  (* Add follows the longword convention: the upper half is dropped *)
+  check64 "S8 Add is a 32-bit add" 6L (rd (data + 32) 8);
+  check64 "flags a = last result" 6L (flag cpu Mda_host.Isa.cmp_a);
+  check64 "flags b = 0" 0L (flag cpu Mda_host.Isa.cmp_b);
+  check64 "flags diff" 6L (flag cpu Mda_host.Isa.cmp_diff);
+  let evs = ref [] in
+  ignore (run ~setup ~on_mem:(fun ev -> evs := ev :: !evs) [ rmw GI.Add 1 GI.S2 (GI.Imm 1l) ]);
+  let evs = List.rev !evs in
+  Alcotest.(check (list (pair int bool)))
+    "one load, one store, same misaligned address"
+    [ (data + 1, false); (data + 1, false) ]
+    (List.map (fun (e : Bt.Interp.mem_event) -> (e.ea, e.aligned)) evs);
+  Alcotest.(check bool) "load then store" true
+    (List.map (fun (e : Bt.Interp.mem_event) -> e.kind) evs = [ `Load; `Store ])
+
+let test_load_negative_narrow () =
+  let setup _ mem = Machine.Memory.write mem ~addr:data ~size:8 0x00000000_00FF80FFL in
+  let cpu, _ =
+    run ~setup
+      [ GI.Mov_imm { dst = GI.EAX; imm = 0x12345678l };
+        GI.Mov_imm { dst = GI.ECX; imm = -1l };
+        load GI.EAX GI.S1 false 0;
+        load GI.EBX GI.S1 true 0;
+        load GI.ECX GI.S2 false 0;
+        load GI.EDX GI.S2 true 0;
+        load GI.ESI GI.S1 true 1;
+        load GI.EDI GI.S2 true 1 ]
+  in
+  check64 "S1 unsigned 0xFF" 0xFFL (reg cpu GI.EAX);
+  check64 "S1 signed 0xFF" (-1L) (reg cpu GI.EBX);
+  check64 "S2 unsigned 0x80FF" 0x80FFL (reg cpu GI.ECX);
+  check64 "S2 signed 0x80FF" (Int64.of_int (0x80FF - 0x10000)) (reg cpu GI.EDX);
+  check64 "S1 signed 0x80" (-128L) (reg cpu GI.ESI);
+  check64 "S2 signed 0xFF80 (misaligned)" (-128L) (reg cpu GI.EDI)
+
+let test_push_pop_esp () =
+  (* Pop ESP writes the popped value first and the incremented stack
+     pointer second, so the increment wins *)
+  let push_pop =
+    [ GI.Mov_imm { dst = GI.EAX; imm = 0x5555l }; GI.Push GI.EAX; GI.Pop GI.ESP ]
+  in
+  let cpu, _ = run push_pop in
+  check64 "pop esp: esp = old sp + 4" 0xF000L (reg cpu GI.ESP);
+  (* Push ESP stores the already decremented stack pointer *)
+  let cpu, mem = run (push_pop @ [ GI.Push GI.ESP ]) in
+  check64 "push esp: esp" 0xEFFCL (reg cpu GI.ESP);
+  check64 "push esp stores the new sp" 0xEFFCL (Machine.Memory.read mem ~addr:0xEFFC ~size:4)
+
+let exec_one cpu mem pc =
+  match Bt.Block.discover mem ~pc with
+  | Error e -> Alcotest.failf "discover: %a" Bt.Block.pp_error e
+  | Ok block ->
+    Bt.Interp.exec_block cpu (Interpreted { profile = false }) block ~on_mem:(fun _ -> ())
+
+let test_call_ret () =
+  let image, offsets = G.Encode.encode_program [| GI.Nop; GI.Call 0x1100; GI.Halt |] in
+  let ret_image, _ = G.Encode.encode_program [| GI.Ret |] in
+  let mem = Machine.Memory.create ~size_bytes:65536 in
+  Machine.Memory.load_image mem ~addr:0x1000 image;
+  Machine.Memory.load_image mem ~addr:0x1100 ret_image;
+  let cost = Machine.Cost_model.default in
+  let cpu = Machine.Cpu.create ~mem ~hier:(Machine.Hierarchy.create cost) ~cost () in
+  Machine.Cpu.set cpu (GI.reg_index GI.ESP) 0xF000L;
+  let ret_addr = 0x1000 + offsets.(2) in
+  (match exec_one cpu mem 0x1000 with
+  | Bt.Interp.Fallthrough t -> Alcotest.(check int) "call target" 0x1100 t
+  | Bt.Interp.Halted -> Alcotest.fail "call halted");
+  check64 "call pushed" 0xEFFCL (reg cpu GI.ESP);
+  check64 "return address on the stack" (Int64.of_int ret_addr)
+    (Machine.Memory.read mem ~addr:0xEFFC ~size:4);
+  (match exec_one cpu mem 0x1100 with
+  | Bt.Interp.Fallthrough t -> Alcotest.(check int) "ret returns after the call" ret_addr t
+  | Bt.Interp.Halted -> Alcotest.fail "ret halted");
+  check64 "ret popped" 0xF000L (reg cpu GI.ESP);
+  (* the return target is the popped longword, zero-extended: a slot with
+     the top bit set is a large positive address, not a negative one *)
+  Machine.Memory.write mem ~addr:0xF000 ~size:8 0xAAAAAAAA_FFFFFFF0L;
+  (match exec_one cpu mem 0x1100 with
+  | Bt.Interp.Fallthrough t -> Alcotest.(check int) "masked 32-bit target" 0xFFFFFFF0 t
+  | Bt.Interp.Halted -> Alcotest.fail "ret halted");
+  check64 "ret popped again" 0xF004L (reg cpu GI.ESP)
+
+let test_raw_quad_base () =
+  (* after an S8 load a register holds a raw 64-bit value; effective
+     addresses and Lea still wrap mod 2^32 *)
+  let setup _ mem =
+    Machine.Memory.write mem ~addr:data ~size:8 (Int64.of_int (0x1_0000_0000 + data));
+    Machine.Memory.write mem ~addr:(data + 8) ~size:8 0x7FFFFFFF_FFFFFFF0L;
+    Machine.Memory.write mem ~addr:(data + 24) ~size:4 0xBEEFL
+  in
+  let cpu, _ =
+    run ~setup
+      [ load GI.EBX GI.S8 false 0;
+        load GI.EDX GI.S8 false 8;
+        GI.Load
+          { dst = GI.EAX; src = GI.addr_base ~disp:24 GI.EBX; size = GI.S4; signed = false };
+        GI.Lea { dst = GI.ESI; src = GI.addr_base ~disp:0x20 GI.EDX };
+        GI.Lea
+          { dst = GI.EDI;
+            src = GI.addr_indexed ~disp:0x10 ~base:GI.EDX ~index:GI.EDX ~scale:8 () };
+        GI.Lea { dst = GI.ECX; src = GI.addr_base ~disp:0x7FFFFFFF GI.EBX } ]
+  in
+  check64 "load through a wide base" 0xBEEFL (reg cpu GI.EAX);
+  check64 "lea wraps" 0x10L (reg cpu GI.ESI);
+  check64 "lea base+index*8 wraps and sign-extends" (-128L) (reg cpu GI.EDI);
+  check64 "lea result is sign-extended"
+    (Mda_util.Bits.sign_extend ~size:4 (Int64.of_int (data + 0x7FFFFFFF)))
+    (reg cpu GI.ECX)
+
+let test_load_out_of_bounds () =
+  (* a faulting load raises before the destination is written, after it
+     has been observed and counted *)
+  let events = ref 0 in
+  let cpu = ref None in
+  (match
+     run
+       ~setup:(fun c _ -> cpu := Some c)
+       ~on_mem:(fun _ -> incr events)
+       [ GI.Mov_imm { dst = GI.EAX; imm = 99l }; load GI.EAX GI.S4 false (65534 - data) ]
+   with
+  | _ -> Alcotest.fail "expected Out_of_bounds"
+  | exception Machine.Memory.Out_of_bounds { addr; size; _ } ->
+    Alcotest.(check (pair int int)) "faulting access" (65534, 4) (addr, size));
+  let cpu = Option.get !cpu in
+  check64 "destination unchanged" 99L (reg cpu GI.EAX);
+  Alcotest.(check int) "observed once" 1 !events;
+  Alcotest.(check int) "counted once" 1 cpu.Machine.Cpu.mem_ops
+
+(* The interpreter allocates nothing per guest instruction: a loop over
+   every access width, Rmw, Push/Pop, Call/Ret and Jcc, interpreted with
+   full profiling. *)
+let test_allocation_free () =
+  let iters = 5_000 in
+  let build asm =
+    let open G.Asm in
+    let f = fresh_label asm and main = fresh_label asm in
+    jmp asm main;
+    bind asm f;
+    rmw asm ~op:GI.Add ~dst:(GI.addr_base ~disp:3 GI.EBX) ~src:(GI.Imm 1l) ~size:GI.S4 ();
+    ret asm;
+    bind asm main;
+    movi asm GI.EBX Bt.Layout.data_base;
+    Test_runtime.counted_loop asm ~iters (fun asm ->
+        load asm ~signed:true ~dst:GI.EAX ~src:(GI.addr_base ~disp:1 GI.EBX) ~size:GI.S1 ();
+        load asm ~dst:GI.EDX ~src:(GI.addr_base ~disp:1 GI.EBX) ~size:GI.S2 ();
+        load asm ~dst:GI.ESI
+          ~src:(GI.addr_indexed ~disp:2 ~base:GI.EBX ~index:GI.ECX ~scale:1 ())
+          ~size:GI.S4 ();
+        load asm ~dst:GI.EDI ~src:(GI.addr_base ~disp:5 GI.EBX) ~size:GI.S8 ();
+        store asm ~src:GI.EAX ~dst:(GI.addr_base ~disp:64 GI.EBX) ~size:GI.S1 ();
+        store asm ~src:GI.EDX ~dst:(GI.addr_base ~disp:65 GI.EBX) ~size:GI.S2 ();
+        store asm ~src:GI.ESI ~dst:(GI.addr_base ~disp:66 GI.EBX) ~size:GI.S4 ();
+        store asm ~src:GI.EDI ~dst:(GI.addr_base ~disp:71 GI.EBX) ~size:GI.S8 ();
+        rmw asm ~op:GI.Xor ~dst:(GI.addr_base ~disp:9 GI.EBX) ~src:(GI.Reg GI.EAX)
+          ~size:GI.S2 ();
+        rmw asm ~op:GI.Or ~dst:(GI.addr_base ~disp:12 GI.EBX) ~src:(GI.Reg GI.EDX)
+          ~size:GI.S1 ();
+        insn asm (GI.Push GI.EDX);
+        insn asm (GI.Pop GI.EAX);
+        lea asm GI.EAX (GI.addr_base ~disp:4 GI.EAX);
+        call asm f);
+    halt asm
+  in
+  let program, mem = Test_runtime.load_program build in
+  let before = Gc.minor_words () in
+  let stats, _ = Bt.Runtime.interpret_program ~mem ~entry:program.G.Asm.base () in
+  let words = Gc.minor_words () -. before in
+  let insns = Int64.to_float stats.Bt.Run_stats.guest_insns in
+  Alcotest.(check bool) "ran the loop" true (insns >= float_of_int (iters * 15));
+  if words >= insns then
+    Alcotest.failf "%.0f minor words for %.0f guest instructions" words insns
+
 let suite =
   [ ( "interp",
       [ Alcotest.test_case "mov imm" `Quick test_mov_imm;
@@ -262,4 +469,11 @@ let suite =
         Alcotest.test_case "push/pop" `Quick test_push_pop;
         Alcotest.test_case "rmw semantics" `Quick test_rmw_semantics;
         Alcotest.test_case "rmw flags" `Quick test_rmw_sets_flags;
-        Alcotest.test_case "memory events" `Quick test_mem_events ] ) ]
+        Alcotest.test_case "memory events" `Quick test_mem_events;
+        Alcotest.test_case "rmw S1/S2/S8" `Quick test_rmw_narrow_and_quad;
+        Alcotest.test_case "narrow loads of negative bytes" `Quick test_load_negative_narrow;
+        Alcotest.test_case "push/pop esp" `Quick test_push_pop_esp;
+        Alcotest.test_case "call/ret round trip" `Quick test_call_ret;
+        Alcotest.test_case "raw 64-bit base wraps" `Quick test_raw_quad_base;
+        Alcotest.test_case "load out of bounds" `Quick test_load_out_of_bounds;
+        Alcotest.test_case "allocation-free" `Quick test_allocation_free ] ) ]
