@@ -60,6 +60,8 @@ let create ?(initial = 4096) () =
 
 let length t = t.len
 
+let code t = t.code
+
 (* Full cache flush: drop all translated code, sites and block records
    but keep the backing store (real DBTs reserve the cache once and
    flush in place). [Hashtbl.clear] rather than [reset] so the bucket

@@ -49,6 +49,10 @@ val create : ?initial:int -> unit -> t
 
 val length : t -> int
 
+(** The backing store, valid below {!length}. Growing the cache
+    replaces it, so hold it no longer than the next emit. *)
+val code : t -> H.insn array
+
 (** Full cache flush: drop all translated code, sites and block records
     but keep the backing store, as a real DBT flushing its reserved
     cache region does. The [patches] statistic survives. *)

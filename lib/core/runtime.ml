@@ -553,11 +553,12 @@ let maybe_chain t ~at ~target_pc =
   end
   | _ -> ()
 
-let enter_translated t (brec : Code_cache.block_rec) entry =
-  ignore brec;
-  let fetch pc = Code_cache.fetch t.cache pc in
+let enter_translated t entry =
   let before = t.cpu.Machine.Cpu.insns in
-  let exit_reason, at = Machine.Cpu.run t.cpu ~fetch ~entry ~fuel:t.fuel_left in
+  let exit_reason, at =
+    Machine.Cpu.run t.cpu ~src:t.cache ~code_of:Code_cache.code ~len_of:Code_cache.length
+      ~entry ~fuel:t.fuel_left
+  in
   (* [run] retires at most [fuel_left] instructions; the clamp keeps
      [fuel_left >= 0] whatever it retired. *)
   t.fuel_left <- max 0 (t.fuel_left - (t.cpu.Machine.Cpu.insns - before));
@@ -576,8 +577,8 @@ let step t pc =
   match brec.entry with
   | Some _ when brec.dirty_rearrange ->
     let entry = rearrange_block t brec in
-    enter_translated t brec entry
-  | Some entry -> enter_translated t brec entry
+    enter_translated t entry
+  | Some entry -> enter_translated t entry
   | None when Mechanism.is_static t.config.mechanism ->
     (* AOT dispatch miss: the pre-populated cache has no translation for
        this block and runtime translation is disabled. Surfaced as a
@@ -592,7 +593,7 @@ let step t pc =
     end
     else begin
       let entry = translate_block t brec in
-      enter_translated t brec entry
+      enter_translated t entry
     end
 
 (* Guest instructions retired by translated code, estimated from the

@@ -10,7 +10,7 @@ type t = {
   set_bits : int; (* log2 of number of sets *)
   assoc : int;
   tags : int array; (* sets * assoc; -1 = invalid *)
-  lru : int array; (* per-way timestamps *)
+  lru : int array; (* per-way timestamps; empty when direct-mapped *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -34,43 +34,62 @@ let create ~size_bytes ~assoc ~line_bytes =
     set_bits;
     assoc;
     tags = Array.make (sets * assoc) (-1);
-    lru = Array.make (sets * assoc) 0;
+    (* a direct-mapped set's victim is always its one way, so it keeps
+       no stamps *)
+    lru = (if assoc = 1 then [||] else Array.make (sets * assoc) 0);
     tick = 0;
     hits = 0;
     misses = 0 }
 
-let line_bytes t = 1 lsl t.line_bits
-
 let sets t = 1 lsl t.set_bits
+
+let line_bits t = t.line_bits
 
 (* [access t addr] touches the line containing [addr]; returns [true] on
    hit. On miss the line is filled, evicting the LRU way. *)
 let access t addr =
-  t.tick <- t.tick + 1;
   let line = addr lsr t.line_bits in
   let set = line land ((1 lsl t.set_bits) - 1) in
   let tag = line lsr t.set_bits in
-  let base = set * t.assoc in
-  let hit_way = ref (-1) in
-  for w = 0 to t.assoc - 1 do
-    if t.tags.(base + w) = tag then hit_way := w
-  done;
-  if !hit_way >= 0 then begin
-    t.lru.(base + !hit_way) <- t.tick;
-    t.hits <- t.hits + 1;
-    true
-  end
+  if t.assoc = 1 then
+    if t.tags.(set) = tag then begin
+      t.hits <- t.hits + 1;
+      true
+    end
+    else begin
+      t.tags.(set) <- tag;
+      t.misses <- t.misses + 1;
+      false
+    end
   else begin
-    (* evict least-recently-used way *)
-    let victim = ref 0 in
-    for w = 1 to t.assoc - 1 do
-      if t.lru.(base + w) < t.lru.(base + !victim) then victim := w
+    t.tick <- t.tick + 1;
+    let base = set * t.assoc in
+    let hit_way = ref (-1) in
+    for w = 0 to t.assoc - 1 do
+      if t.tags.(base + w) = tag then hit_way := w
     done;
-    t.tags.(base + !victim) <- tag;
-    t.lru.(base + !victim) <- t.tick;
-    t.misses <- t.misses + 1;
-    false
+    if !hit_way >= 0 then begin
+      t.lru.(base + !hit_way) <- t.tick;
+      t.hits <- t.hits + 1;
+      true
+    end
+    else begin
+      (* evict least-recently-used way *)
+      let victim = ref 0 in
+      for w = 1 to t.assoc - 1 do
+        if t.lru.(base + w) < t.lru.(base + !victim) then victim := w
+      done;
+      t.tags.(base + !victim) <- tag;
+      t.lru.(base + !victim) <- t.tick;
+      t.misses <- t.misses + 1;
+      false
+    end
   end
+
+(* A hit the caller knows of without a lookup: the line it touched last
+   in this cache, touched again. That line is already its set's most
+   recent, so leaving its stamp alone keeps every set's LRU order. *)
+let record_hit t = t.hits <- t.hits + 1
 
 let invalidate_all t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

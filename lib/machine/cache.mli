@@ -9,13 +9,19 @@ type t
     otherwise. *)
 val create : size_bytes:int -> assoc:int -> line_bytes:int -> t
 
-val line_bytes : t -> int
+(** log2 of the line size: [addr lsr line_bits t] is [addr]'s line. *)
+val line_bits : t -> int
 
 val sets : t -> int
 
 (** Touch the line containing [addr]; [true] on hit. Misses fill the
     line, evicting the LRU way. *)
 val access : t -> int -> bool
+
+(** Count a hit without a lookup. Exact only for the line this cache
+    accessed last: that line is its set's most recent, so a repeat
+    access must hit and leaves every set's LRU order as it is. *)
+val record_hit : t -> unit
 
 val invalidate_all : t -> unit
 

@@ -13,9 +13,13 @@
    - [Retry]: the handler rewrote the code cache (patched the faulting
      slot into a branch); the same pc is re-fetched and re-executed.
 
-   Code is fetched through a callback because the code cache grows and is
-   patched *while the CPU runs* — exactly the aliasing that makes real
-   DBT patching delicate. *)
+   [run] reads instructions straight out of the code cache's backing
+   array. The cache grows and is patched *while the CPU runs* — exactly
+   the aliasing that makes real DBT patching delicate — but only the
+   handler changes it mid-run: a patch rewrites a slot of the same
+   array, and the out-of-line MDA sequence it emits may move the cache
+   to a bigger one. So [run] re-reads the array and its length after
+   every handler call, and nowhere else. *)
 
 module H = Mda_host.Isa
 module Sem = Mda_host.Semantics
@@ -125,24 +129,33 @@ let do_store t ~addr ~size s =
    performs it. The cycle cost of the handler body is folded into
    [cost.align_trap]. *)
 let emulate_access t insn ~addr =
-  let load ra size = Memory.load_rf t.mem ~addr ~size t.rf ~dst:(dst ra)
-  and store ra size = Memory.store_rf t.mem ~addr ~size t.rf ~src:ra in
   match insn with
-  | H.Ldwu { ra; _ } -> load ra 2
+  | H.Ldwu { ra; _ } -> Memory.load_rf t.mem ~addr ~size:2 t.rf ~dst:(dst ra)
   | H.Ldl { ra; _ } ->
-    load ra 4;
+    Memory.load_rf t.mem ~addr ~size:4 t.rf ~dst:(dst ra);
     sext32 t (dst ra)
-  | H.Ldq { ra; _ } -> load ra 8
-  | H.Stw { ra; _ } -> store ra 2
-  | H.Stl { ra; _ } -> store ra 4
-  | H.Stq { ra; _ } -> store ra 8
+  | H.Ldq { ra; _ } -> Memory.load_rf t.mem ~addr ~size:8 t.rf ~dst:(dst ra)
+  | H.Stw { ra; _ } -> Memory.store_rf t.mem ~addr ~size:2 t.rf ~src:ra
+  | H.Stl { ra; _ } -> Memory.store_rf t.mem ~addr ~size:4 t.rf ~src:ra
+  | H.Stq { ra; _ } -> Memory.store_rf t.mem ~addr ~size:8 t.rf ~src:ra
   | _ -> raise (Fatal "emulate_access: not an alignment-restricted access")
 
 (* Raised by [exec] for a misaligned effective address on an
-   alignment-restricted access; [run] delivers it to the handler. *)
-exception Misaligned of int
+   alignment-restricted access; [run] delivers it to the handler. It
+   carries no address, so raising it allocates nothing: [fault_addr]
+   recomputes the address from registers the trap left untouched. *)
+exception Misaligned
 
-let[@inline] aligned ~mask addr = if addr land mask <> 0 then raise (Misaligned addr)
+let[@inline] aligned ~mask addr = if addr land mask <> 0 then raise_notrace Misaligned
+
+let fault_addr t = function
+  | H.Ldwu { rb; disp; _ }
+  | H.Ldl { rb; disp; _ }
+  | H.Ldq { rb; disp; _ }
+  | H.Stw { rb; disp; _ }
+  | H.Stl { rb; disp; _ }
+  | H.Stq { rb; disp; _ } -> ea t rb disp
+  | _ -> raise (Fatal "fault_addr: not an alignment-restricted access")
 
 (* Execute one memory instruction. *)
 let exec_mem t insn =
@@ -181,7 +194,8 @@ let exec_mem t insn =
   | _ -> raise (Fatal "exec_mem: not a memory instruction")
 
 (* Execute the instruction at [pc] and return the next pc, or -1 after
-   a [Monitor] (whose exit reason [run] decodes). Raises [Misaligned]. *)
+   a [Monitor] (whose exit reason [run] decodes; a jump to -1 returns
+   -1 too). Raises [Misaligned]. *)
 let exec t pc insn =
   match insn with
   | H.Ldbu _ | H.Ldwu _ | H.Ldl _ | H.Ldq _ | H.Ldq_u _ | H.Stb _ | H.Stw _ | H.Stl _
@@ -230,25 +244,31 @@ let exec t pc insn =
     -1
   | H.Nop -> pc + 1
 
+let is_monitor = function H.Monitor _ -> true | _ -> false
+
 let exit_of t = function
   | H.Monitor (H.Next_guest g) -> Exit_next_guest g
   | H.Monitor (H.Dyn_guest r) -> Exit_dyn_guest (Int64.to_int (rd t r))
   | H.Monitor H.Prog_halt -> Exit_halt
   | _ -> raise (Fatal "exit_of: not a monitor instruction")
 
-(* [run t ~fetch ~entry ~fuel] executes from code-cache index [entry]
-   until a [Monitor] instruction stops it, returning the exit reason and
-   the index of the [Monitor] that fired (the chaining site). [fetch pc]
-   supplies the (possibly just-patched) instruction at [pc]. [fuel]
-   bounds the number of executed instructions; exceeding it raises
-   [Out_of_fuel]. *)
-let run t ~fetch ~entry ~fuel =
+(* [run t ~src ~code_of ~len_of ~entry ~fuel] executes from code-cache
+   index [entry] until a [Monitor] instruction stops it, returning the
+   exit reason and the index of the [Monitor] that fired (the chaining
+   site). [code_of src] is the code store and [len_of src] its valid
+   length; both are read on entry and again after each handler call.
+   [fuel] bounds the number of executed instructions; exceeding it
+   raises [Out_of_fuel]. *)
+let run t ~src ~code_of ~len_of ~entry ~fuel =
+  let code = ref (code_of src) and len = ref (len_of src) in
   let pc = ref entry and remaining = ref fuel and stop = ref (-1) in
   while !stop < 0 do
     if !remaining <= 0 then raise Out_of_fuel;
     decr remaining;
     let here = !pc in
-    let insn = fetch here in
+    if here < 0 || here >= !len then
+      raise (Fatal (Printf.sprintf "code-cache fetch out of range: %d" here));
+    let insn = !code.(here) in
     (* instruction fetch: 4 bytes per insn at code_base *)
     charge t
       (Hierarchy.access_code t.hier
@@ -256,21 +276,23 @@ let run t ~fetch ~entry ~fuel =
     charge t t.cost.Cost_model.base_insn;
     t.insns <- t.insns + 1;
     match exec t here insn with
-    | -1 -> stop := here
-    | next -> pc := next
-    | exception Misaligned addr -> begin
+    | -1 when is_monitor insn -> stop := here
+    | next -> pc := next (* a wild jump to -1 fails its fetch *)
+    | exception Misaligned -> begin
+      let addr = fault_addr t insn in
       t.align_traps <- t.align_traps + 1;
       charge t t.cost.Cost_model.align_trap;
       match t.handler with
       | None ->
         raise (Fatal (Printf.sprintf "unhandled alignment trap at pc %d addr %#x" here addr))
-      | Some h -> begin
-        match h ~pc:here ~addr insn with
+      | Some h ->
+        (match h ~pc:here ~addr insn with
         | Emulate ->
           emulate_access t insn ~addr;
           pc := here + 1
-        | Retry -> () (* re-fetch the (patched) slot *)
-      end
+        | Retry -> () (* re-fetch the (patched) slot *));
+        code := code_of src;
+        len := len_of src
     end
   done;
-  (exit_of t (fetch !stop), !stop)
+  (exit_of t !code.(!stop), !stop)

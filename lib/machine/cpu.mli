@@ -1,10 +1,9 @@
 (** The alphalite host CPU.
 
-    Executes translated code out of the BT's code cache (via a fetch
-    callback, because the cache grows and is patched {e while the CPU
-    runs}), charges cycles per the cost model and cache hierarchy, and
-    delivers misaligned-access traps to the registered handler — the
-    simulated OS trap/signal path. *)
+    Executes translated code straight out of the BT's code cache, charges
+    cycles per the cost model and cache hierarchy, and delivers
+    misaligned-access traps to the registered handler — the simulated
+    OS trap/signal path. *)
 
 (** Why [run] returned. *)
 type exit_reason =
@@ -61,12 +60,24 @@ val charge : t -> int -> unit
     replayable. *)
 val now : t -> int64
 
-(** [run t ~fetch ~entry ~fuel] executes from code-cache index [entry]
-    until a [Monitor] instruction, returning the exit reason and the
-    index of the [Monitor] that fired (the chaining site). [fuel] bounds
-    the instruction count ({!Out_of_fuel} beyond it); traps without a
-    handler raise {!Fatal}. The register fields of the fetched
+(** [run t ~src ~code_of ~len_of ~entry ~fuel] executes from code-cache
+    index [entry] until a [Monitor] instruction, returning the exit
+    reason and the index of the [Monitor] that fired (the chaining
+    site). Instructions come from the array [code_of src], valid below
+    [len_of src]; a pc outside that raises
+    [Fatal "code-cache fetch out of range: <pc>"]. The handler may patch
+    the array or replace it (the code cache grows), so [run] reads both
+    accessors on entry and again after every handler call — pass static
+    functions, not closures, to keep the loop allocation-free. [fuel]
+    bounds the instruction count ({!Out_of_fuel} beyond it); traps
+    without a handler raise {!Fatal}. The register fields of the fetched
     instructions are trusted to be 0..31, as the translator and the
     host parser guarantee: the execute loop does not check them. *)
 val run :
-  t -> fetch:(int -> Mda_host.Isa.insn) -> entry:int -> fuel:int -> exit_reason * int
+  t ->
+  src:'s ->
+  code_of:('s -> Mda_host.Isa.insn array) ->
+  len_of:('s -> int) ->
+  entry:int ->
+  fuel:int ->
+  exit_reason * int

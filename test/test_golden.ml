@@ -83,6 +83,9 @@ let cases =
     (* the heating-threshold sweep: its low-threshold columns are mostly
        phase-1 interpreter cycles *)
     ("fig10", fun () -> H.Experiment.render (H.Fig10.run ~opts:golden_opts ()));
+    (* code rearrangement vs plain exception handling: the I-cache
+       code-locality figure, so it pins the instruction-fetch model *)
+    ("fig11", fun () -> H.Experiment.render (H.Fig11.run ~opts:golden_opts ()));
     ("fig15", fun () -> H.Experiment.render (H.Fig15.run ~opts:golden_opts ()));
     ("fig16", fun () -> H.Experiment.render (H.Fig16.run ~opts:golden_opts ()));
     ("figsa", fun () -> H.Experiment.render (H.Figsa.run ~opts:golden_opts ()));
@@ -90,6 +93,10 @@ let cases =
        default-cost cells, and must match a full re-simulation *)
     ( "ablate-trapcost",
       fun () -> H.Experiment.render (H.Ablation.trap_cost ~opts:golden_opts ()) );
+    (* the only experiment whose runs take the [Full_flush] policy, and
+       with it the I-cache invalidation path *)
+    ( "ablate-flush",
+      fun () -> H.Experiment.render (H.Ablation.flush ~opts:golden_opts ()) );
     ("census-stack", census_stack);
     ("explain-pr8", explain_rules);
     ("chaos-42", cli "chaos --seed 42 --plans 3");

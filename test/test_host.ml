@@ -155,7 +155,7 @@ let mk_cpu () =
 
 let run_seq cpu insns =
   let code = Array.of_list (insns @ [ H.Monitor H.Prog_halt ]) in
-  match Machine.Cpu.run cpu ~fetch:(fun pc -> code.(pc)) ~entry:0 ~fuel:1000 with
+  match Machine.Cpu.run cpu ~src:code ~code_of:Fun.id ~len_of:Array.length ~entry:0 ~fuel:1000 with
   | Machine.Cpu.Exit_halt, _ -> ()
   | _ -> Alcotest.fail "sequence did not halt"
 

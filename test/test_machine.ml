@@ -180,9 +180,11 @@ let mk_cpu () =
   let hier = Mda_machine.Hierarchy.create cost in
   (Cpu.create ~mem ~hier ~cost (), mem)
 
-let run cpu code =
-  let arr = Array.of_list code in
-  Cpu.run cpu ~fetch:(fun pc -> arr.(pc)) ~entry:0 ~fuel:10_000
+(* Run a bare instruction array as the code store. *)
+let run_array cpu code ~fuel =
+  Cpu.run cpu ~src:code ~code_of:Fun.id ~len_of:Array.length ~entry:0 ~fuel
+
+let run cpu code = run_array cpu (Array.of_list code) ~fuel:10_000
 
 let test_cpu_r31_hardwired () =
   let cpu, _ = mk_cpu () in
@@ -288,8 +290,49 @@ let test_cpu_alignment_trap_retry () =
   Cpu.set_handler cpu (fun ~pc ~addr:_ _ ->
       code.(pc) <- H.Ldbu { ra = 1; rb = 2; disp = 0 };
       Cpu.Retry);
-  let _ = Cpu.run cpu ~fetch:(fun pc -> code.(pc)) ~entry:0 ~fuel:100 in
+  let _ = run_array cpu code ~fuel:100 in
   Alcotest.(check int64) "patched slot re-executed" 0x34L (Cpu.get cpu 1)
+
+(* The handler grows the code cache past its capacity before patching:
+   the CPU must pick up the new array and length, or it would re-run the
+   stale trapping slot and fetch the out-of-line sequence out of range. *)
+let test_cpu_retry_after_growth () =
+  let module Cc = Mda_bt.Code_cache in
+  let cpu, mem = mk_cpu () in
+  Memory.write mem ~addr:1001 ~size:4 0x1234L;
+  Cpu.set cpu 2 1001L;
+  let cc = Cc.create ~initial:16 () in
+  let entry = Cc.emit cc [ H.Ldl { ra = 1; rb = 2; disp = 0 }; H.Monitor H.Prog_halt ] in
+  let before = Cc.code cc in
+  Cpu.set_handler cpu (fun ~pc ~addr:_ _ ->
+      let seq =
+        List.init 20 (fun _ -> H.Nop)
+        @ [ H.Lda { ra = 1; rb = 31; disp = 77 }; H.Br { ra = 31; target = pc + 1 } ]
+      in
+      let at = Cc.emit cc seq in
+      Cc.patch cc pc (H.Br { ra = 31; target = at });
+      Cpu.Retry);
+  let exit, at =
+    Cpu.run cpu ~src:cc ~code_of:Cc.code ~len_of:Cc.length ~entry ~fuel:1000
+  in
+  Alcotest.(check bool) "the store moved" false (before == Cc.code cc);
+  Alcotest.(check bool) "halted" true (exit = Cpu.Exit_halt);
+  Alcotest.(check int) "at the original monitor" (entry + 1) at;
+  Alcotest.(check int) "one trap" 1 cpu.Cpu.align_traps;
+  Alcotest.(check int64) "the out-of-line sequence ran" 77L (Cpu.get cpu 1)
+
+(* A branch out of the code store is a [Fatal] naming the pc, on either
+   side of it. *)
+let test_cpu_wild_jump_fatal () =
+  List.iter
+    (fun target ->
+      let cpu, _ = mk_cpu () in
+      Cpu.set cpu 7 (Int64.of_int target);
+      Alcotest.check_raises (Printf.sprintf "jmp %d" target)
+        (Cpu.Fatal (Printf.sprintf "code-cache fetch out of range: %d" target))
+        (fun () ->
+          ignore (run cpu [ H.Jmp { ra = 31; rb = 7 }; H.Monitor H.Prog_halt ])))
+    [ 2; 1000; -1 ]
 
 let test_cpu_unhandled_trap_fatal () =
   let cpu, _ = mk_cpu () in
@@ -439,12 +482,12 @@ let prop_rf_differential =
 
 (* 20,000 iterations of an 8-instruction loop mixing every hot form
    allocate (almost) nothing: a boxed int64 per instruction would show
-   as 2+ words each. *)
+   as 2+ words each. The second pass misaligns the loop's [Ldl], so every
+   iteration also takes a trap the handler answers with [Emulate]: the
+   trap path must not allocate either (a boxed fault address or a
+   closure per trap would show as several words each). *)
 let test_cpu_allocation_free () =
-  let cpu, _ = mk_cpu () in
   let iters = 20_000 in
-  Cpu.set cpu 1 (Int64.of_int iters);
-  Cpu.set cpu 2 4097L;
   let code =
     [| H.Ldq_u { ra = 3; rb = 2; disp = 0 };
        H.Bytem { op = H.Ext; width = 4; high = false; ra = 3; rb = H.Rb 2; rc = 4 };
@@ -456,12 +499,23 @@ let test_cpu_allocation_free () =
        H.Br { ra = 31; target = 0 };
        H.Monitor H.Prog_halt |]
   in
-  let before = Gc.minor_words () in
-  ignore (Cpu.run cpu ~fetch:(fun pc -> code.(pc)) ~entry:0 ~fuel:max_int);
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool) "ran the loop" true (cpu.Cpu.insns >= 100_000);
-  if words >= float_of_int cpu.Cpu.insns then
-    Alcotest.failf "%.0f minor words for %d host instructions" words cpu.Cpu.insns
+  List.iter
+    (fun (base, traps) ->
+      let cpu, _ = mk_cpu () in
+      Cpu.set cpu 1 (Int64.of_int iters);
+      Cpu.set cpu 2 base;
+      Cpu.set_handler cpu (fun ~pc:_ ~addr:_ _ -> Cpu.Emulate);
+      let before = Gc.minor_words () in
+      ignore (run_array cpu code ~fuel:max_int);
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) "ran the loop" true (cpu.Cpu.insns >= 100_000);
+      Alcotest.(check int) "traps" traps cpu.Cpu.align_traps;
+      (* under a word per instruction, and under a word per trap *)
+      let bound = if traps = 0 then cpu.Cpu.insns else traps in
+      if words >= float_of_int bound then
+        Alcotest.failf "%.0f minor words for %d host instructions and %d traps" words
+          cpu.Cpu.insns traps)
+    [ (4097L, 0); (4098L, iters) ]
 
 let suite =
   [ ( "machine.memory",
@@ -489,6 +543,9 @@ let suite =
         Alcotest.test_case "monitor exits" `Quick test_cpu_monitor_exits;
         Alcotest.test_case "trap: emulate" `Quick test_cpu_alignment_trap_emulate;
         Alcotest.test_case "trap: retry (patching)" `Quick test_cpu_alignment_trap_retry;
+        Alcotest.test_case "trap: retry after the store grows" `Quick
+          test_cpu_retry_after_growth;
+        Alcotest.test_case "wild jump is fatal" `Quick test_cpu_wild_jump_fatal;
         Alcotest.test_case "trap: unhandled is fatal" `Quick test_cpu_unhandled_trap_fatal;
         Alcotest.test_case "alignment matrix" `Quick test_cpu_alignment_matrix;
         Alcotest.test_case "ldq_u never traps" `Quick test_cpu_ldq_u_never_traps;

@@ -1,6 +1,7 @@
 (* Model-based property tests: the cache against a naive LRU reference
-   model, simulated memory against a plain byte-array model, and the
-   workload generator's layout invariants. *)
+   model, the memoised hierarchy against plain caches, simulated memory
+   against a plain byte-array model, and the workload generator's layout
+   invariants. *)
 
 module Machine = Mda_machine
 module W = Mda_workloads
@@ -26,14 +27,103 @@ module Ref_cache = struct
     hit
 end
 
-let prop_cache_matches_model =
-  QCheck.Test.make ~name:"cache behaves as LRU reference model" ~count:200
+(* 512 bytes of 32-byte lines: 16 sets direct-mapped, 8 two-way, 4
+   four-way. The two-way case keeps its original name. *)
+let prop_cache_matches_model assoc =
+  let name =
+    if assoc = 2 then "cache behaves as LRU reference model"
+    else Printf.sprintf "cache behaves as LRU reference model (assoc %d)" assoc
+  in
+  QCheck.Test.make ~name ~count:200
     QCheck.(list_of_size Gen.(int_range 1 400) (int_bound 4095))
     (fun addrs ->
-      let c = Machine.Cache.create ~size_bytes:512 ~assoc:2 ~line_bytes:32 in
-      (* 512/32/2 = 8 sets *)
-      let m = Ref_cache.create ~sets:8 ~assoc:2 ~line_bits:5 in
+      let c = Machine.Cache.create ~size_bytes:512 ~assoc ~line_bytes:32 in
+      let m = Ref_cache.create ~sets:(16 / assoc) ~assoc ~line_bits:5 in
       List.for_all (fun a -> Machine.Cache.access c a = Ref_cache.access m a) addrs)
+
+(* --- memoised hierarchy vs plain caches ------------------------------------ *)
+
+(* The hierarchy's last-line memos skip lookups; the reference does every
+   lookup on three plain caches of the same geometry. A small geometry
+   (8-set 2-way L1s of 16-byte lines over a 32-set direct-mapped L2 of
+   32-byte lines) and a 2 KiB address range make repeats, conflicts and
+   straddles common. *)
+let small_geometry =
+  { Machine.Cost_model.l1_size = 256;
+    l1_assoc = 2;
+    l1_line = 16;
+    l2_size = 1024;
+    l2_assoc = 1;
+    l2_line = 32 }
+
+type hier_op =
+  | Code of int
+  | Data of int * int (* addr, size *)
+  | Invalidate
+
+let gen_hier_op =
+  let open QCheck.Gen in
+  let addr = int_bound 2047 in
+  (* the last few bytes of a line, so wider accesses straddle *)
+  let near_end =
+    map2 (fun line k -> (16 * line) + 16 - k) (int_bound 127) (int_range 1 7)
+  in
+  frequency
+    [ (6, map (fun a -> Code a) addr);
+      (* runs of sequential fetches, as straight-line code makes *)
+      (2, map (fun a -> Code (a land lnot 3)) (int_bound 255));
+      ( 4,
+        map2
+          (fun a size -> Data (a, size))
+          (oneof [ addr; near_end ])
+          (oneofl [ 1; 2; 4; 8 ]) );
+      (1, return Invalidate) ]
+
+let print_hier_op = function
+  | Code a -> Printf.sprintf "code %d" a
+  | Data (a, size) -> Printf.sprintf "data %d/%d" a size
+  | Invalidate -> "invalidate"
+
+let prop_hierarchy_matches_plain_caches =
+  QCheck.Test.make ~name:"memoised hierarchy matches plain caches" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 300) (make ~print:print_hier_op gen_hier_op))
+    (fun ops ->
+      let cost = Machine.Cost_model.default and g = small_geometry in
+      let h = Machine.Hierarchy.create ~geometry:g cost in
+      let l1 () =
+        Machine.Cache.create ~size_bytes:g.l1_size ~assoc:g.l1_assoc ~line_bytes:g.l1_line
+      in
+      let l1i = l1 () and l1d = l1 () in
+      let l2 =
+        Machine.Cache.create ~size_bytes:g.l2_size ~assoc:g.l2_assoc ~line_bytes:g.l2_line
+      in
+      let through l1 addr =
+        if Machine.Cache.access l1 addr then 0
+        else if Machine.Cache.access l2 addr then cost.l1_miss
+        else cost.l2_miss
+      in
+      let stalls_agree =
+        List.for_all
+          (fun op ->
+            match op with
+            | Code addr -> Machine.Hierarchy.access_code h ~addr = through l1i addr
+            | Data (addr, size) ->
+              let last = (addr + size - 1) land lnot (g.l1_line - 1) in
+              let expect =
+                through l1d addr + if last <= addr then 0 else through l1d last
+              in
+              Machine.Hierarchy.access_data h ~addr ~size = expect
+            | Invalidate ->
+              Machine.Hierarchy.invalidate_code h;
+              Machine.Cache.invalidate_all l1i;
+              true)
+          ops
+      in
+      let stats = Machine.Cache.stats in
+      stalls_agree
+      && stats h.l1i = stats l1i
+      && stats h.l1d = stats l1d
+      && stats h.l2 = stats l2)
 
 (* --- memory vs byte-array model ------------------------------------------ *)
 
@@ -181,7 +271,9 @@ let test_mixed_stride_validation () =
       ignore (W.Gen.mixed_stride ~width:4 ~period:3))
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_cache_matches_model; prop_memory_matches_bytes ]
+  List.map QCheck_alcotest.to_alcotest
+    (List.map prop_cache_matches_model [ 1; 2; 4 ]
+    @ [ prop_hierarchy_matches_plain_caches; prop_memory_matches_bytes ])
 
 let suite =
   [ ("models", qcheck_cases);
