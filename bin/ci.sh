@@ -34,6 +34,9 @@ dune exec bin/mdabench.exe -- figsa --scale 0.05
 echo "== selfcheck smoke run"
 dune exec bin/mdabench.exe -- run 453.povray -m dpeh --scale 0.05 --selfcheck >/dev/null
 
+echo "== mechanism tour example (every mechanism through the run driver)"
+dune exec examples/mechanism_tour.exe -- 410.bwaves 0.05 >/dev/null
+
 echo "== translation-validation gate (mdabench verify)"
 dune exec bin/mdabench.exe -- verify --scale 0.05 --jobs 2
 

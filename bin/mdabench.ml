@@ -354,8 +354,8 @@ let run_cmd =
       0
     | Spec.Mech spec ->
       let stats, t, _ =
-        H.Experiment.run_spec_rt ~scale ?sink:(Option.map snd trace) ?rules
-          (Spec.with_heating threshold spec) name
+        H.Cell.run ?sink:(Option.map snd trace) ?rules (H.Cell.subject ~scale name)
+          (Spec.with_heating threshold spec)
       in
       Option.iter (write_trace ~mechanism:(Spec.print_run mech) ~bench:name ~scale ~stats) trace;
       Format.printf "%a@." Bt.Run_stats.pp stats;
@@ -542,20 +542,18 @@ let aot_cmd =
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
   let run name scale unknown census validate mode rules =
+    let subject = H.Cell.subject ~scale name in
     (* ground truth: a pure-interpreter run over an identical image *)
-    let w = W.Workload.instantiate ~scale name in
-    let imem = W.Workload.fresh_memory w in
-    let istats, _ = Bt.Runtime.interpret_program ~mem:imem ~entry:(W.Workload.entry w) () in
+    let entry, imem = subject.Spec.image () in
+    let istats, _ = Bt.Runtime.interpret_program ~mem:imem ~entry () in
     let idigest = Mda_machine.Memory.digest imem in
     (* the AOT run *)
-    let astats, rt, p =
-      H.Experiment.run_spec_rt ~scale ~mode ?rules (H.Cell.Aot { unknown }) name
-    in
+    let astats, rt, p = H.Cell.run ~mode ?rules subject (H.Cell.Aot { unknown }) in
     let analysis = Option.get p.Spec.analysis and tstats = snd (Option.get p.Spec.aot) in
     let adigest = Mda_machine.Memory.digest rt.Bt.Runtime.cpu.Mda_machine.Cpu.mem in
     (* the same verdicts applied dynamically (translation at dispatch) *)
     let dstats, _, _ =
-      H.Experiment.run_spec_rt ~scale ~mode ?rules (H.Cell.Static_analysis { unknown }) name
+      H.Cell.run ~mode ?rules subject (H.Cell.Static_analysis { unknown })
     in
     Printf.printf "== AOT: %s ==\n" name;
     let aligned, misaligned, unknown_sites = A.Dataflow.census analysis in
@@ -651,7 +649,7 @@ let verify_cmd =
     (* activate per cell: [active] carries mutable hit counters, and the
        cell may run in a forked worker *)
     let rules = Option.map P.activate plain_rules in
-    let _stats, t, _ = H.Experiment.run_spec_rt ~scale ?rules spec name in
+    let _stats, t, _ = H.Cell.run ?rules (H.Cell.subject ~scale name) spec in
     (name, Spec.print_run (Spec.Mech spec), check_cache [ `Validate; `Selfcheck ] t)
   in
   let run mech benchmarks program scale jobs rules =
@@ -794,7 +792,9 @@ let mine_cmd =
       Printf.eprintf "mdabench mine: --kill-check requires --rules FILE\n";
       1
     | Some _ as rules ->
-      let _stats, t, _ = H.Experiment.run_spec_rt ?rules H.Cell.Direct bench in
+      let _stats, t, _ =
+        H.Cell.run ?rules (H.Cell.subject ~scale:1.0 bench) H.Cell.Direct
+      in
       let cache = t.Bt.Runtime.cache in
       let o = A.Mutate.run ~cache ~block_of:(Bt.Runtime.guest_block t) ~seed () in
       Format.printf "%a@." A.Mutate.pp_outcome o;
@@ -901,7 +901,7 @@ let traced_run name mech scale =
     exit 1
   | Spec.Mech spec ->
     let sink = Obs.Trace.create () in
-    let stats, rt, _ = H.Experiment.run_spec_rt ~scale ~sink spec name in
+    let stats, rt, _ = H.Cell.run ~sink (H.Cell.subject ~scale name) spec in
     (sink, stats, rt)
 
 let trace_cmd =

@@ -30,7 +30,7 @@ let () =
   let results =
     List.map
       (fun (label, spec) ->
-        let stats, _, _ = H.Experiment.run_spec_rt ~scale spec name in
+        let stats, _, _ = H.Cell.run (H.Cell.subject ~scale name) spec in
         (label, stats))
       mechanisms
   in

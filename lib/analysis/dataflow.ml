@@ -708,8 +708,6 @@ let classify t addr =
   | Some s -> s.cls
   | None -> Bt.Mechanism.Align_unknown
 
-let find_site t addr = Hashtbl.find_opt t.sites addr
-
 let iter_sites t f = Hashtbl.iter (fun _ s -> f s) t.sites
 
 let sites_sorted t =
@@ -747,15 +745,3 @@ let pp_site fmt s =
     (match s.kind with `Load -> "load" | `Store -> "store" | `Both -> "rmw")
     s.width C.pp s.ea
     (Bt.Mechanism.align_class_name s.cls)
-
-let pp_fn fmt f =
-  Format.fprintf fmt "%#x: %d block%s%s%s%s" f.fn_entry f.fn_blocks
-    (if f.fn_blocks = 1 then "" else "s")
-    (if f.fn_complete then "" else " INCOMPLETE")
-    (if f.fn_returns then
-       match f.fn_esp_delta with
-       | Some 0 -> ", balanced"
-       | Some d -> Printf.sprintf ", esp%+d across calls" d
-       | None -> ", esp unknown at return"
-     else ", never returns")
-    (Printf.sprintf ", %d call site%s" f.fn_calls (if f.fn_calls = 1 then "" else "s"))

@@ -72,8 +72,6 @@ val analyze : ?max_blocks:int -> ?mode:mode -> Mda_machine.Memory.t -> entry:int
     addresses the analysis never saw are [Align_unknown]. *)
 val classify : t -> int -> Mda_bt.Mechanism.align_class
 
-val find_site : t -> int -> site option
-
 val iter_sites : t -> (site -> unit) -> unit
 
 (** All sites in guest-address order. *)
@@ -89,5 +87,3 @@ val census : t -> int * int * int
 val summary : t -> Mda_bt.Mechanism.sa_summary
 
 val pp_site : Format.formatter -> site -> unit
-
-val pp_fn : Format.formatter -> fn -> unit

@@ -38,6 +38,4 @@ val run :
   unit ->
   outcome
 
-val pp_survivor : Format.formatter -> survivor -> unit
-
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -51,8 +51,6 @@ val budget_bailouts : report -> int
     bailed out is not a theorem and is rejected. *)
 val proves : report -> bool
 
-val pp_violation : Format.formatter -> violation -> unit
-
 (** Prints the [*_checked] counters in both the success and the failure
     case, then each violation. *)
 val pp_report : Format.formatter -> report -> unit

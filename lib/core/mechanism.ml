@@ -69,10 +69,6 @@ let sa_classify summary addr =
   | Some c -> c
   | None -> Align_unknown
 
-let sa_summary_size summary = Hashtbl.length summary.classes
-
-let empty_sa_summary () = { classes = Hashtbl.create 1 }
-
 type t =
   | Direct
   | Static_profiling of Profile.summary

@@ -28,10 +28,6 @@ type sa_summary = { classes : (int, align_class) Hashtbl.t }
 
 val sa_classify : sa_summary -> int -> align_class
 
-val sa_summary_size : sa_summary -> int
-
-val empty_sa_summary : unit -> sa_summary
-
 type t =
   | Direct
   | Static_profiling of Profile.summary

@@ -41,7 +41,7 @@ let subject_of_groups ~name groups =
 
 (* A [.asm] file has no Train input: the profiling run uses the same
    program (its data init is part of the source). *)
-let subject_of_program path = H.Cell.subject ~scale:1.0 ~input:W.Gen.Ref path
+let subject_of_program path = H.Cell.subject ~scale:1.0 path
 
 (* --- the per-cell invariants ------------------------------------------- *)
 
@@ -61,10 +61,11 @@ let degradation_final records =
       | _ -> None)
     records
 
-(* One cell: prepare the mechanism exactly as the harness does (static
-   profiling trains on the Train input, static analysis and AOT run the
-   congruence dataflow on the binary), run the subject under the plan's
-   faults, and check it.
+(* One cell: run the subject under the plan's faults through the
+   harness's run driver (so the mechanism is prepared exactly as the
+   harness prepares it: static profiling trains on the Train input,
+   static analysis and AOT run the congruence dataflow on the binary),
+   and check it.
 
    AOT cells execute an immutable pre-populated cache, which adds two
    assertions. A plan that bounds the cache capacity must be rejected
@@ -90,47 +91,38 @@ let check ?program plan ~mech =
   let aot = match spec with Spec.Aot _ -> true | _ -> false in
   let problems = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+  let sink = Obs.Trace.create () in
+  let configure c =
+    { c with Bt.Runtime.flush_policy = plan.Plan.flush_policy; faults = Plan.faults plan }
+  in
   let stats =
-    match Spec.prepare subject spec with
+    match H.Cell.run ~sink ~configure subject spec with
     | exception Bt.Runtime.Runtime_error e ->
       fail "%s" e;
       None
-    | prepared -> (
-      let sink = Obs.Trace.create () in
-      let config =
-        { (Bt.Runtime.default_config prepared.Spec.mechanism) with
-          flush_policy = plan.Plan.flush_policy;
-          faults = Plan.faults plan;
-          on_event = Some (Obs.Trace.hook sink) }
-      in
-      let cache = Option.map fst prepared.Spec.aot in
-      let entry, mem = subject.Spec.image () in
-      match Bt.Runtime.create ~config ?cache ~mem () with
-      | exception Invalid_argument _ when aot && plan.Plan.cache_capacity <> None ->
-        None (* the required rejection *)
-      | (_ : Bt.Runtime.t) when aot && plan.Plan.cache_capacity <> None ->
-        fail "bounded-capacity fault was accepted on the immutable AOT cache";
-        None
-      | rt ->
-        Obs.Trace.attach sink rt;
-        let stats = Bt.Runtime.run rt ~entry in
-        let expected = Oracle.interpret (subject.Spec.image ()) in
-        if not (Oracle.state_eq expected (Oracle.state rt.Bt.Runtime.cpu)) then
-          fail "guest state diverged from the pure-interpreter oracle";
-        if stats.Bt.Run_stats.stop <> Bt.Run_stats.Halted then
-          fail "run did not halt (%s)"
-            (Bt.Run_stats.stop_reason_to_string stats.Bt.Run_stats.stop);
-        if aot && (stats.Bt.Run_stats.translations <> 0 || stats.Bt.Run_stats.patches <> 0)
-        then
-          fail "immutable AOT cache was written at runtime (%d translations, %d patches)"
-            stats.Bt.Run_stats.translations stats.Bt.Run_stats.patches;
-        Option.iter (fail "%s")
-          (Oracle.selfcheck_problem
-             (A.Check.run ?capacity:plan.Plan.cache_capacity rt.Bt.Runtime.cache));
-        List.iter (fail "degradation not final: %s")
-          (degradation_final (Obs.Trace.records sink));
-        Option.iter (fail "%s") (Oracle.replay_problem ~mechanism:mech ~bench ~stats sink);
-        Some stats)
+    | exception Invalid_argument _ when aot && plan.Plan.cache_capacity <> None ->
+      None (* the required rejection *)
+    | _ when aot && plan.Plan.cache_capacity <> None ->
+      fail "bounded-capacity fault was accepted on the immutable AOT cache";
+      None
+    | stats, rt, _ ->
+      let expected = Oracle.interpret (subject.Spec.image ()) in
+      if not (Oracle.state_eq expected (Oracle.state rt.Bt.Runtime.cpu)) then
+        fail "guest state diverged from the pure-interpreter oracle";
+      if stats.Bt.Run_stats.stop <> Bt.Run_stats.Halted then
+        fail "run did not halt (%s)"
+          (Bt.Run_stats.stop_reason_to_string stats.Bt.Run_stats.stop);
+      if aot && (stats.Bt.Run_stats.translations <> 0 || stats.Bt.Run_stats.patches <> 0)
+      then
+        fail "immutable AOT cache was written at runtime (%d translations, %d patches)"
+          stats.Bt.Run_stats.translations stats.Bt.Run_stats.patches;
+      Option.iter (fail "%s")
+        (Oracle.selfcheck_problem
+           (A.Check.run ?capacity:plan.Plan.cache_capacity rt.Bt.Runtime.cache));
+      List.iter (fail "degradation not final: %s")
+        (degradation_final (Obs.Trace.records sink));
+      Option.iter (fail "%s") (Oracle.replay_problem ~mechanism:mech ~bench ~stats sink);
+      Some stats
   in
   let problems = List.rev !problems in
   let count f = match stats with Some s -> f s | None -> 0 in

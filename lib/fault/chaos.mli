@@ -51,7 +51,9 @@ val subject_of_groups :
     labels raise [Invalid_argument]. With [?program] (a
     [.asm] file path) the cell runs that hand-written program instead
     of the plan's generated workload — the plan still supplies the
-    fault knobs — so textual workloads face the same battery. *)
+    fault knobs — so textual workloads face the same battery. The run
+    goes through the harness's run driver ({!Mda_harness.Cell.run}), so
+    it is prepared and configured as every other runner's is. *)
 val check : ?program:string -> Plan.t -> mech:string -> outcome
 
 (** Deterministic harness-fault checks (run once per chaos invocation,

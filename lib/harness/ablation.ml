@@ -193,9 +193,7 @@ let flush_micro ~phases ~iters_per_phase ~hot_blocks =
 
 let flush ?(opts = Experiment.default_options) () =
   ignore opts;
-  let mechanism =
-    Bt.Mechanism.Dpeh { threshold = 50; retranslate = Some 4; multiversion = false }
-  in
+  let spec = Cell.Dpeh { threshold = 50; retranslate = Some 4; multiversion = false } in
   let table =
     T.create
       [| T.col "phase switches";
@@ -206,11 +204,16 @@ let flush ?(opts = Experiment.default_options) () =
   in
   List.iter
     (fun phases ->
-      let run flush_policy =
+      let image () =
         let program, mem = flush_micro ~phases ~iters_per_phase:1500 ~hot_blocks:8 in
-        let config = { (Bt.Runtime.default_config mechanism) with flush_policy } in
-        let t = Bt.Runtime.create ~config ~mem () in
-        Bt.Runtime.run t ~entry:program.GA.base
+        (program.GA.base, mem)
+      in
+      let subject = { Mda_mech.Mech_spec.name = "flush-micro"; image; train = image } in
+      let run flush_policy =
+        let stats, _, _ =
+          Cell.run ~configure:(fun c -> { c with Bt.Runtime.flush_policy }) subject spec
+        in
+        stats
       in
       let b = run Bt.Runtime.Block_granularity and f = run Bt.Runtime.Full_flush in
       let rb = Int64.to_float b.Bt.Run_stats.cycles

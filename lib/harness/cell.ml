@@ -5,7 +5,11 @@
    per-benchmark preparation (train-input profiles, static alignment
    analysis) name the preparation rather than carry its product, so a
    cell is small, deterministic, and content-addressable, and the
-   preparation happens inside whichever worker computes the cell. *)
+   preparation happens inside whichever worker computes the cell.
+
+   This module also holds the run driver ([run]): the one place outside
+   the core and the serving layer that turns a spec and a subject into a
+   finished BT run, so every mechanism is measured under one protocol. *)
 
 module W = Mda_workloads
 module Bt = Mda_bt
@@ -30,7 +34,7 @@ type t = {
   bench : string;
   scale : float;
   input : W.Gen.input;
-  variant : W.Workload.variant;
+  variant : W.Workload.variant; (* native runs only, see [native] *)
   kind : kind;
   chaining : bool;
   capacity : int option; (* bounded code cache, in live host insns *)
@@ -39,20 +43,21 @@ type t = {
          across worker processes; [compute] activates them *)
 }
 
-let make ?(input = W.Gen.Ref) ?(variant = W.Workload.Default) ?(chaining = true) ?capacity
-    ?rules ~scale kind bench =
-  { bench; scale; input; variant; kind; chaining; capacity; rules }
+let make ?(input = W.Gen.Ref) ?(chaining = true) ?capacity ?rules ~scale kind bench =
+  { bench; scale; input; variant = W.Workload.Default; kind; chaining; capacity; rules }
 
-let mech ?input ?variant ?chaining ?capacity ?rules ~scale spec bench =
-  make ?input ?variant ?chaining ?capacity ?rules ~scale (Spec.Mech spec) bench
+let mech ?input ?chaining ?capacity ?rules ~scale spec bench =
+  make ?input ?chaining ?capacity ?rules ~scale (Spec.Mech spec) bench
 
 (* No [?chaining]: an interpreter run has no chains, so the knob could
    only split one result across two keys. *)
-let interp ?input ?variant ~scale bench =
-  make ?input ?variant ~scale (Spec.Interp { native = false }) bench
+let interp ?input ~scale bench = make ?input ~scale (Spec.Interp { native = false }) bench
 
-let native ?input ?variant ~scale bench =
-  make ?input ?variant ~scale (Spec.Interp { native = true }) bench
+(* Only a native cell takes a program variant: the recompiled binary is
+   meaningful only for native-x86 runs (Workload.variant), and a Mech
+   cell prepares against the default image, so it must run that image. *)
+let native ?input ?(variant = W.Workload.Default) ~scale bench =
+  { (make ?input ~scale (Spec.Interp { native = true }) bench) with variant }
 
 (* --- canonical description (cache-key material) ------------------------ *)
 
@@ -102,7 +107,7 @@ let nmi sites = Array.fold_left (fun n s -> if s.mdas > 0 then n + 1 else n) 0 s
 (* A benchmark as a preparation subject: the program image under [input]
    (the binary is input-independent, so any input serves the analysis)
    and under the train input. *)
-let subject ~scale ~input bench =
+let subject ?(input = W.Gen.Ref) ~scale bench =
   let load input () =
     let w = W.Workload.instantiate ~scale ~input bench in
     (W.Workload.entry w, W.Workload.fresh_memory w)
@@ -112,37 +117,50 @@ let subject ~scale ~input bench =
 let mechanism_of_spec ~scale ~input bench spec =
   (Spec.prepare (subject ~scale ~input bench) spec).Spec.mechanism
 
+(* The run driver. The paper measures whole executions, each on a fresh
+   machine, so one protocol serves every caller: prepare the spec, load
+   a fresh image, configure, run. The sink's hook is part of the config
+   handed to [configure]; the rules feed both the AOT translation and
+   the runtime's translations, so their hit counters cover both. *)
+let run ?sink ?mode ?rules ?(configure = Fun.id) subject spec =
+  let p = Spec.prepare ?mode ?rules subject spec in
+  let entry, mem = subject.Spec.image () in
+  let on_event = Option.map Mda_obs.Trace.hook sink in
+  let config =
+    configure { (Bt.Runtime.default_config p.Spec.mechanism) with on_event; rules }
+  in
+  let rt = Bt.Runtime.create ~config ?cache:(Option.map fst p.Spec.aot) ~mem () in
+  Option.iter (fun s -> Mda_obs.Trace.attach s rt) sink;
+  (Bt.Runtime.run rt ~entry, rt, p)
+
 (* [?sink] attaches a trace sink (cycle-stamped BT events) to Mech
    cells. Tracing is an observation artifact: the returned result is
    bit-identical with and without a sink, which is what keeps traced
    runs compatible with the result cache. Interp cells execute no BT
    events, so their trace is empty by construction. *)
 let compute ?sink t =
-  let w = W.Workload.instantiate ~scale:t.scale ~input:t.input ~variant:t.variant t.bench in
-  let mem = W.Workload.fresh_memory w in
-  let entry = W.Workload.entry w in
   match t.kind with
   | Spec.Interp { native } ->
+    let w =
+      W.Workload.instantiate ~scale:t.scale ~input:t.input ~variant:t.variant t.bench
+    in
     let mode = if native then Bt.Interp.Native else Bt.Interp.Interpreted { profile = true } in
-    let stats, profile = Bt.Runtime.interpret_program ~mode ~mem ~entry () in
+    let stats, profile =
+      Bt.Runtime.interpret_program ~mode ~mem:(W.Workload.fresh_memory w)
+        ~entry:(W.Workload.entry w) ()
+    in
     { stats; sites = dump_profile profile }
   | Spec.Mech spec ->
-    let rules = Option.map Mda_host.Peephole.activate t.rules in
-    let p =
-      Spec.prepare ?rules (subject ~scale:t.scale ~input:t.input t.bench) spec
+    let configure c =
+      { c with
+        Bt.Runtime.chaining = t.chaining;
+        faults = { Bt.Runtime.no_faults with cache_capacity = t.capacity } }
     in
-    let on_event = Option.map Mda_obs.Trace.hook sink in
-    let config =
-      { (Bt.Runtime.default_config p.Spec.mechanism) with
-        chaining = t.chaining;
-        faults = { Bt.Runtime.no_faults with cache_capacity = t.capacity };
-        on_event;
-        rules }
+    let stats, _, _ =
+      run ?sink ?rules:(Option.map Mda_host.Peephole.activate t.rules) ~configure
+        (subject ~scale:t.scale ~input:t.input t.bench)
+        spec
     in
-    let cache = Option.map fst p.Spec.aot in
-    let rt = Bt.Runtime.create ~config ?cache ~mem () in
-    Option.iter (fun s -> Mda_obs.Trace.attach s rt) sink;
-    let stats = Bt.Runtime.run rt ~entry in
     { stats; sites = [||] }
 
 (* Compute a Mech cell with a fresh unbounded sink; returns the result

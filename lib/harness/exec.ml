@@ -47,8 +47,6 @@ let create ?(jobs = 1) ?timeout ?capacity ?cache () =
     counters = zero_counters;
     failures = [] }
 
-let jobs t = t.jobs
-
 (* The capacity override rewrites Mech cells on the way in — one knob
    bounds every experiment's translator without threading a parameter
    through all sixteen runners. Interp cells (the ground-truth oracle)

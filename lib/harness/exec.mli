@@ -15,8 +15,6 @@ type t
 val create :
   ?jobs:int -> ?timeout:float -> ?capacity:int -> ?cache:Result_cache.t -> unit -> t
 
-val jobs : t -> int
-
 type counters = {
   computed : int;  (** simulated, here or in a worker *)
   cache_hits : int;  (** served from the persistent cache *)

@@ -24,29 +24,6 @@ let default_options = { scale = 1.0; benchmarks = W.Spec.selected_names; exec = 
    still deduping repeated cells within the experiment. *)
 let exec_of opts = match opts.exec with Some e -> e | None -> Exec.create ()
 
-(* Prepare [spec] for one benchmark and run it on a fresh machine, as
-   the paper measures whole executions. The runtime and the preparation
-   are returned alongside the statistics so callers can inspect the code
-   cache (the invariant checker does), the analysis and the AOT
-   translation afterwards. *)
-let run_spec_rt ?(scale = 1.0) ?(input = W.Gen.Ref) ?sink ?mode ?rules spec name =
-  let p = Spec.prepare ?mode ?rules (Cell.subject ~scale ~input name) spec in
-  let w = W.Workload.instantiate ~scale ~input name in
-  let mem = W.Workload.fresh_memory w in
-  let on_event = Option.map Mda_obs.Trace.hook sink in
-  let config = { (Bt.Runtime.default_config p.Spec.mechanism) with on_event; rules } in
-  let t = Bt.Runtime.create ~config ?cache:(Option.map fst p.Spec.aot) ~mem () in
-  Option.iter (fun s -> Mda_obs.Trace.attach s t) sink;
-  let stats = Bt.Runtime.run t ~entry:(W.Workload.entry w) in
-  (stats, t, p)
-
-(* Static alignment analysis of a benchmark's program image — no
-   execution, no profile: what the translator gets to see. [mode]
-   selects the interprocedural (default) or the baseline
-   intraprocedural engine. *)
-let sa_analyze ?(scale = 1.0) ?(input = W.Gen.Ref) ?mode name =
-  Spec.analyze ?mode (Cell.subject ~scale ~input name)
-
 (* The SA-guided mechanism at the given unknown-operand policy. *)
 let sa_mechanism ?(scale = 1.0) ?(input = W.Gen.Ref) ?(unknown = Bt.Mechanism.Sa_fallback)
     name =

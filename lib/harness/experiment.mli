@@ -1,7 +1,8 @@
-(** Shared machinery for the per-table/figure experiment runners:
-    workload execution under a mechanism, interpreter ground-truth runs,
-    the best-configuration constants of Section VI-C, normalization
-    helpers, and the rendered-output type every experiment returns. *)
+(** Shared machinery for the per-table/figure experiment runners: the
+    options every runner takes, the best-configuration constants of
+    Section VI-C, normalization helpers, and the rendered-output type
+    every experiment returns. Runs themselves are cells ({!Cell.compute})
+    or, outside the result cache, {!Cell.run}. *)
 
 type options = {
   scale : float; (** workload volume multiplier *)
@@ -16,35 +17,6 @@ val default_options : options
 
 (** The caller's context, or a fresh sequential one. *)
 val exec_of : options -> Exec.t
-
-(** Prepare a spec for one benchmark ({!Mda_mech.Mech_spec.prepare}:
-    train profile, analysis with the [mode] engine, or the whole-image
-    AOT translation) and run it on a fresh machine. Returns the
-    statistics, the runtime (so the code cache can be inspected
-    afterwards: [mdabench run --selfcheck]) and the preparation. [sink]
-    attaches a trace sink to the run's event hook ([mdabench trace]/
-    [hot]); [rules] enables the validator-proved peephole rewrite tier
-    on every translation ([mdabench run --rules]). Raises
-    {!Mda_bt.Runtime.Runtime_error} on an image AOT cannot translate. *)
-val run_spec_rt :
-  ?scale:float ->
-  ?input:Mda_workloads.Gen.input ->
-  ?sink:Mda_obs.Trace.t ->
-  ?mode:Mda_analysis.Dataflow.mode ->
-  ?rules:Mda_host.Peephole.active ->
-  Cell.mech_spec ->
-  string ->
-  Mda_bt.Run_stats.t * Mda_bt.Runtime.t * Mda_mech.Mech_spec.prepared
-
-(** Static alignment analysis of a benchmark's program image — no
-    execution, no profile. [mode] selects the analysis engine
-    (default {!Mda_analysis.Dataflow.Interprocedural}). *)
-val sa_analyze :
-  ?scale:float ->
-  ?input:Mda_workloads.Gen.input ->
-  ?mode:Mda_analysis.Dataflow.mode ->
-  string ->
-  Mda_analysis.Dataflow.t
 
 (** The SA-guided mechanism for a benchmark, at the given
     unknown-operand policy (default {!Mda_bt.Mechanism.Sa_fallback}). *)

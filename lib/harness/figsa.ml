@@ -57,7 +57,7 @@ let run ?(opts = Experiment.default_options) () =
   let census = ref (0, 0, 0) in
   List.iter
     (fun name ->
-      let analysis = Experiment.sa_analyze ~scale name in
+      let analysis = Mda_mech.Mech_spec.analyze (Cell.subject ~scale name) in
       let al, mis, unk = A.Dataflow.census analysis in
       let cal, cmis, cunk = !census in
       census := (cal + al, cmis + mis, cunk + unk);

@@ -33,8 +33,6 @@ let create ?(dir = default_dir) () =
   (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
   { dir }
 
-let dir t = t.dir
-
 let key cell =
   Digest.to_hex
     (Digest.string (Cell.describe cell ^ "\n" ^ Lazy.force version_stamp))

@@ -12,8 +12,6 @@ val default_dir : string
 (** Open (creating the directory if needed) a cache rooted at [dir]. *)
 val create : ?dir:string -> unit -> t
 
-val dir : t -> string
-
 (** The cell's content address (hex digest, includes the code-version
     stamp). *)
 val key : Cell.t -> string

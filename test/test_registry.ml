@@ -24,23 +24,46 @@ let test_labels_round_trip () =
     (Result.is_error (Spec.parse_run "eh-rearrange"))
 
 (* [mdabench run BENCH -m LABEL] prints exactly the statistics the
-   harness computes for the cell of that label. *)
+   harness computes for the cell of that label, and for every Mech label
+   the footer of [mdabench trace BENCH -m LABEL --out F] records them
+   too: the run behind run/trace/hot is the cell's run. *)
 let test_cli_matches_cell () =
-  let bench = "164.gzip" and scale = 0.05 in
+  let scale = 0.05 in
+  let cli cmd label =
+    let out = Filename.temp_file "mda_registry" ".txt" in
+    Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+    let rc = Sys.command (Printf.sprintf "%s %s 2>/dev/null" Test_cli.exe (cmd out)) in
+    Alcotest.(check int) (label ^ " exits 0") 0 rc;
+    Test_cli.slurp out
+  in
+  let cell kind bench = (H.Cell.compute (H.Cell.make ~scale kind bench)).H.Cell.stats in
+  let pp = Format.asprintf "%a@." Bt.Run_stats.pp in
   List.iter
     (fun (label, kind) ->
-      let out = Filename.temp_file "mda_registry" ".txt" in
-      Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
-      let rc =
-        Sys.command
-          (Printf.sprintf "%s run %s -m %s --scale %g > %s 2>/dev/null" Test_cli.exe bench
-             label scale out)
+      let printed =
+        cli
+          (fun out -> Printf.sprintf "run 164.gzip -m %s --scale %g > %s" label scale out)
+          ("run -m " ^ label)
       in
-      Alcotest.(check int) ("run -m " ^ label ^ " exits 0") 0 rc;
-      let cell = (H.Cell.compute (H.Cell.make ~scale kind bench)).H.Cell.stats in
       Alcotest.(check string) ("run -m " ^ label ^ " == Cell.compute")
-        (Format.asprintf "%a@." Bt.Run_stats.pp cell)
-        (Test_cli.slurp out))
+        (pp (cell kind "164.gzip")) printed;
+      match kind with
+      | Spec.Interp _ -> ()
+      | Spec.Mech _ ->
+        let jsonl =
+          cli
+            (fun out ->
+              Printf.sprintf "trace 410.bwaves -m %s --scale %g --out %s >/dev/null" label
+                scale out)
+            ("trace -m " ^ label)
+        in
+        let footer =
+          match Mda_obs.Trace.of_jsonl jsonl with
+          | Ok f -> pp f.Mda_obs.Trace.stats
+          | Error e -> Alcotest.failf "trace -m %s: %s" label e
+        in
+        Alcotest.(check string) ("trace -m " ^ label ^ " footer == Cell.compute")
+          (pp (cell kind "410.bwaves")) footer)
     Spec.run_labels
 
 (* Tenant 0's code window starts where a chaos plan's program does, so
