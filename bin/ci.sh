@@ -211,14 +211,23 @@ dune exec bin/mdabench.exe -- all --jobs 2 --scale 0.05 \
   --benchmarks 164.gzip,410.bwaves,188.ammp \
   --cache-dir "$WORK/cache" >"$WORK/all/warm.txt" 2>"$WORK/all/warm.err"
 
-echo "== cached re-run serves >= 90% from cache and is byte-identical"
+echo "== cached re-run simulates nothing, serves 100% from cache, is byte-identical"
 cmp "$WORK/all/cold.txt" "$WORK/all/warm.txt" || {
   echo "FAIL: warm-cache output differs from cold run"; exit 1; }
 PCT=$(sed -n 's/.*cache-served=\([0-9]*\)%.*/\1/p' "$WORK/all/warm.err" | tail -1)
-echo "cache-served=${PCT:-?}%"
-[ -n "$PCT" ] && [ "$PCT" -ge 90 ] || {
-  echo "FAIL: warm run served ${PCT:-0}% from cache (need >= 90%)"
+ALL_WARM=$(sed -n 's/.*all:.*cells (\([0-9]*\) computed.*/\1/p' "$WORK/all/warm.err" | tail -1)
+echo "cache-served=${PCT:-?}% warm computed=${ALL_WARM:-?}"
+[ -n "$PCT" ] && [ "$PCT" -ge 100 ] && [ "$ALL_WARM" = 0 ] || {
+  echo "FAIL: warm run served ${PCT:-0}% from cache and computed ${ALL_WARM:-?} cells (need 100% and 0)"
   cat "$WORK/all/warm.err"; exit 1; }
+
+echo "== flush ablation runs are cells: computed cold, served warm"
+FLUSH_COLD=$(sed -n 's/.*ablate-flush:.*cells: \([0-9]*\) computed.*/\1/p' "$WORK/all/cold.err" | tail -1)
+FLUSH_WARM=$(sed -n 's/.*ablate-flush:.*cells: \([0-9]*\) computed.*/\1/p' "$WORK/all/warm.err" | tail -1)
+echo "ablate-flush computed: cold=${FLUSH_COLD:-?} warm=${FLUSH_WARM:-?}"
+[ "$FLUSH_COLD" = 8 ] && [ "$FLUSH_WARM" = 0 ] || {
+  echo "FAIL: ablate-flush must compute 8 cells cold (4 phase counts x 2 policies) and 0 warm"
+  cat "$WORK/all/cold.err" "$WORK/all/warm.err"; exit 1; }
 
 echo "== trap-cost ablation simulates only Figure 16's default-cost cells"
 TRAP_COLD=$(sed -n 's/.*ablate-trapcost:.*cells: \([0-9]*\) computed.*/\1/p' "$WORK/all/cold.err" | tail -1)

@@ -786,14 +786,14 @@ let mine_cmd =
         else Printf.printf "replay FAILED\n";
         !rc)
   in
-  let run_kill_check bench seed rules_file =
+  let run_kill_check bench scale seed rules_file =
     match load_rules rules_file with
     | None ->
       Printf.eprintf "mdabench mine: --kill-check requires --rules FILE\n";
       1
     | Some _ as rules ->
       let _stats, t, _ =
-        H.Cell.run ?rules (H.Cell.subject ~scale:1.0 bench) H.Cell.Direct
+        H.Cell.run ?rules (H.Cell.subject ~scale bench) H.Cell.Direct
       in
       let cache = t.Bt.Runtime.cache in
       let o = A.Mutate.run ~cache ~block_of:(Bt.Runtime.guest_block t) ~seed () in
@@ -875,7 +875,7 @@ let mine_cmd =
           print_string (P.explain r);
           0))
     | None, Some file, _ -> replay_file file
-    | None, None, Some bench -> run_kill_check bench seed rules_file
+    | None, None, Some bench -> run_kill_check bench scale seed rules_file
     | None, None, None -> mine benchmarks program scale budget max_len seed rules_out
   in
   Cmd.v (Cmd.info "mine" ~doc)
@@ -884,7 +884,10 @@ let mine_cmd =
       $ benchmarks_arg "Comma-separated corpus subset (defaults to the paper's 21 selected)."
       $ program_arg
       $ scale_arg ~default:0.05
-          ~doc:"Workload volume multiplier for corpus images (mining is static)." ()
+          ~doc:
+            "Workload volume multiplier for corpus images (mining is static) and for the \
+             $(b,--kill-check) benchmark's run."
+          ()
       $ budget_arg $ max_len_arg
       $ seed_arg ~default:0 "Seed for vocabulary order and concrete screening vectors."
       $ rules_out_arg $ replay_arg $ explain_arg $ rules_file_arg $ kill_check_arg)

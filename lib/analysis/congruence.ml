@@ -63,8 +63,6 @@ let low_bits = function
   | Exact v -> (32, Int64.to_int (Int64.logand v 0xFFFFFFFFL))
   | Congr { stride; offset } -> (tz stride, offset)
 
-let is_bot = function Bot -> true | _ -> false
-
 let equal a b =
   match (a, b) with
   | Bot, Bot -> true

@@ -34,8 +34,6 @@ val congr : stride:int -> offset:int -> t
     unsigned 32-bit pattern. Raises on [Bot]. *)
 val low_bits : t -> int * int
 
-val is_bot : t -> bool
-
 val equal : t -> t -> bool
 
 (** Concretization membership: does concrete [v] satisfy the abstract

@@ -19,15 +19,6 @@ type stats = {
   chains : int;  (** block exits pre-chained into direct branches *)
 }
 
-(** The [Aot] mechanism's per-site translation policy: proven
-    misaligned → MDA sequence, proven aligned → plain op, unknown →
-    the configured {!Mechanism.sa_policy}. *)
-val policy :
-  summary:Mechanism.sa_summary ->
-  unknown:Mechanism.sa_policy ->
-  int ->
-  Translate.policy
-
 (** Translate the whole image reachable from [entry] in [mem].
     [max_blocks] (default 65536) bounds discovery. [?rules] applies the
     validator-proved peephole tier to every emitted translation (see

@@ -11,9 +11,7 @@
      runtime is dispatcher overhead rather than MDA handling.
    - [flush]: Section IV-C contrasts this BT's block-granularity
      invalidation with Dynamo's whole-cache flush; we implement both and
-     measure the retranslation mechanism under each. The microbenchmark
-     is purpose-built (not a named workload), so it runs inline rather
-     than through the cell layer. *)
+     measure the retranslation mechanism under each. *)
 
 module W = Mda_workloads
 module Bt = Mda_bt
@@ -118,82 +116,20 @@ let chaining ?(opts = Experiment.default_options) () =
 
 (* --- 3. flush policy ------------------------------------------------------
 
-   The Table-I workloads run their loops sequentially, so by the time a
-   late-onset block triggers retranslation its neighbours are already
-   dead and flushing them is free. The design choice matters when *live*
-   hot code shares the cache with the retranslated block — the common
-   case in real programs — so this ablation uses a purpose-built
-   microbenchmark: an outer loop interleaving several hot aligned blocks
-   with pointer-based accesses whose alignment degrades in phases
-   (triggering one retranslation per phase). Under the Dynamo policy
-   every phase change throws away the hot blocks too, which must then
-   re-heat through the interpreter and be retranslated. *)
-
-module GA = Mda_guest.Asm
-module GI = Mda_guest.Isa
-
-let flush_micro ~phases ~iters_per_phase ~hot_blocks =
-  let data = Bt.Layout.data_base in
-  (* [phases] groups of 4 pointer cells; phase switch k misaligns group
-     k's pointers, so each phase exposes 4 *new* trapping sites — enough
-     to trip retranslate-after-4 once per phase *)
-  let ngroups = max 1 phases in
-  let cells = Array.init (4 * ngroups) (fun i -> data + (8 * i)) in
-  let arena = data + 1024 in
-  let asm = GA.create () in
-  GA.movi asm GI.ESP Bt.Layout.stack_top;
-  GA.movi asm GI.EDX phases; (* remaining phase switches *)
-  GA.movi asm GI.EDI data; (* next cell group to misalign *)
-  GA.movi asm GI.ECX iters_per_phase;
-  let body = GA.fresh_label asm in
-  let done_ = GA.fresh_label asm in
-  GA.jmp asm body;
-  GA.bind asm body;
-  Array.iter
-    (fun cell ->
-      GA.load asm ~dst:GI.EBX ~src:(GI.addr_abs cell) ~size:GI.S4 ();
-      GA.load asm ~dst:GI.EAX ~src:(GI.addr_base GI.EBX) ~size:GI.S8 ())
-    cells;
-  (* hot aligned work, in [hot_blocks] distinct blocks *)
-  for k = 0 to hot_blocks - 1 do
-    let next = GA.fresh_label asm in
-    GA.jmp asm next;
-    GA.bind asm next;
-    GA.load asm ~dst:GI.ESI ~src:(GI.addr_abs (arena + 64 + (8 * k))) ~size:GI.S4 ();
-    GA.binop asm GI.Add GI.ESI (GI.Imm 1l);
-    GA.store asm ~src:GI.ESI ~dst:(GI.addr_abs (arena + 64 + (8 * k))) ~size:GI.S4 ();
-    GA.binop asm GI.Xor GI.EBP (GI.Reg GI.ESI);
-    GA.binop asm GI.Add GI.EBP (GI.Imm 3l)
-  done;
-  GA.addi asm GI.ECX (-1);
-  GA.cmpi asm GI.ECX 0;
-  GA.jcc asm GI.Gt body;
-  (* phase end: misalign the next group's pointers and go again *)
-  GA.cmpi asm GI.EDX 0;
-  GA.jcc asm GI.Eq done_;
-  GA.addi asm GI.EDX (-1);
-  for j = 0 to 3 do
-    GA.load asm ~dst:GI.EBX ~src:(GI.addr_base ~disp:(8 * j) GI.EDI) ~size:GI.S4 ();
-    GA.addi asm GI.EBX 2;
-    GA.store asm ~src:GI.EBX ~dst:(GI.addr_base ~disp:(8 * j) GI.EDI) ~size:GI.S4 ()
-  done;
-  GA.addi asm GI.EDI 32;
-  GA.movi asm GI.ECX iters_per_phase;
-  GA.jmp asm body;
-  GA.bind asm done_;
-  GA.halt asm;
-  let program = GA.assemble ~base:Bt.Layout.guest_code_base asm in
-  let mem = Machine.Memory.create ~size_bytes:Bt.Layout.mem_size in
-  Machine.Memory.load_image mem ~addr:program.GA.base program.GA.image;
-  Array.iteri
-    (fun i cell ->
-      Machine.Memory.write mem ~addr:cell ~size:4 (Int64.of_int (arena + (16 * i))))
-    cells;
-  (program, mem)
+   The Table-I workloads run their loops sequentially, so flushing a
+   retranslated block's dead neighbours is free; the policy matters only
+   when live hot code shares the cache with it. The runs therefore use
+   the purpose-built [W.Flushbench] microbenchmark, one workload per
+   phase count, at its fixed shape (scale 1.0, as stack.frames). *)
 
 let flush ?(opts = Experiment.default_options) () =
-  ignore opts;
+  let ex = Experiment.exec_of opts in
   let spec = Cell.Dpeh { threshold = 50; retranslate = Some 4; multiversion = false } in
+  let cell flush_policy phases =
+    Cell.mech ~scale:1.0 ~flush_policy spec (W.Flushbench.name phases)
+  in
+  let block = cell Bt.Runtime.Block_granularity and full = cell Bt.Runtime.Full_flush in
+  Exec.prefetch ex (List.concat_map (fun p -> [ block p; full p ]) W.Flushbench.phase_counts);
   let table =
     T.create
       [| T.col "phase switches";
@@ -204,18 +140,7 @@ let flush ?(opts = Experiment.default_options) () =
   in
   List.iter
     (fun phases ->
-      let image () =
-        let program, mem = flush_micro ~phases ~iters_per_phase:1500 ~hot_blocks:8 in
-        (program.GA.base, mem)
-      in
-      let subject = { Mda_mech.Mech_spec.name = "flush-micro"; image; train = image } in
-      let run flush_policy =
-        let stats, _, _ =
-          Cell.run ~configure:(fun c -> { c with Bt.Runtime.flush_policy }) subject spec
-        in
-        stats
-      in
-      let b = run Bt.Runtime.Block_granularity and f = run Bt.Runtime.Full_flush in
+      let b = Exec.stats ex (block phases) and f = Exec.stats ex (full phases) in
       let rb = Int64.to_float b.Bt.Run_stats.cycles
       and rf = Int64.to_float f.Bt.Run_stats.cycles in
       T.add_row table
@@ -224,7 +149,7 @@ let flush ?(opts = Experiment.default_options) () =
            Printf.sprintf "%.0f" rf;
            Printf.sprintf "%d/%d" b.Bt.Run_stats.retranslations f.Bt.Run_stats.retranslations;
            Experiment.f2 (rf /. rb) |])
-    [ 1; 2; 4; 8 ];
+    W.Flushbench.phase_counts;
   { Experiment.title =
       "Ablation: retranslation flush policy — this BT (block) vs Dynamo (full cache)";
     table;

@@ -41,13 +41,16 @@ type t = {
   rules : Mda_host.Peephole.t option;
       (* peephole rules as plain data (not [active]) so cells marshal
          across worker processes; [compute] activates them *)
+  flush_policy : Bt.Runtime.flush_policy; (* what a retranslation evicts *)
 }
 
-let make ?(input = W.Gen.Ref) ?(chaining = true) ?capacity ?rules ~scale kind bench =
-  { bench; scale; input; variant = W.Workload.Default; kind; chaining; capacity; rules }
+let make ?(input = W.Gen.Ref) ?(chaining = true) ?capacity ?rules
+    ?(flush_policy = Bt.Runtime.Block_granularity) ~scale kind bench =
+  { bench; scale; input; variant = W.Workload.Default; kind; chaining; capacity; rules;
+    flush_policy }
 
-let mech ?input ?chaining ?capacity ?rules ~scale spec bench =
-  make ?input ?chaining ?capacity ?rules ~scale (Spec.Mech spec) bench
+let mech ?input ?chaining ?capacity ?rules ?flush_policy ~scale spec bench =
+  make ?input ?chaining ?capacity ?rules ?flush_policy ~scale (Spec.Mech spec) bench
 
 (* No [?chaining]: an interpreter run has no chains, so the knob could
    only split one result across two keys. *)
@@ -69,10 +72,12 @@ let kind_describe = function
    floats losslessly. v2 added the bounded-cache capacity; v3 the
    peephole rule-file digest, so a changed rule file can never alias a
    cached result mined under different rules; v4 drops the trap-cost
-   override (cells always run the default cost model). *)
+   override (cells always run the default cost model). Only a
+   [Full_flush] cell names its flush policy: the default adds nothing,
+   which keeps every other key stable. *)
 let describe t =
   Printf.sprintf
-    "cell-v4 bench=%s scale=%h input=%s variant=%s kind=%s chain=%b cap=%s rules=%s"
+    "cell-v4 bench=%s scale=%h input=%s variant=%s kind=%s chain=%b cap=%s rules=%s%s"
     t.bench t.scale
     (match t.input with W.Gen.Train -> "train" | W.Gen.Ref -> "ref")
     (match t.variant with W.Workload.Default -> "default" | W.Workload.Aligned_opt -> "aligned-opt")
@@ -80,6 +85,9 @@ let describe t =
     t.chaining
     (match t.capacity with None -> "unbounded" | Some c -> string_of_int c)
     (match t.rules with None -> "none" | Some rs -> Mda_host.Peephole.digest rs)
+    (match t.flush_policy with
+    | Bt.Runtime.Block_granularity -> ""
+    | Bt.Runtime.Full_flush -> " flush=full")
 
 (* --- results ----------------------------------------------------------- *)
 
@@ -154,6 +162,7 @@ let compute ?sink t =
     let configure c =
       { c with
         Bt.Runtime.chaining = t.chaining;
+        flush_policy = t.flush_policy;
         faults = { Bt.Runtime.no_faults with cache_capacity = t.capacity } }
     in
     let stats, _, _ =

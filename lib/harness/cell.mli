@@ -12,9 +12,9 @@
 
     {!run} is the only code outside the core, the serving layer and the
     tests that turns a spec and a subject into a finished BT run: cells,
-    the CLI's run/trace/hot/aot/verify/mine commands, the chaos runner
-    and the flush ablation all go through it, so every mechanism is
-    measured under one protocol. *)
+    the CLI's run/trace/hot/aot/verify/mine commands and the chaos
+    runner all go through it, so every mechanism is measured under one
+    protocol. *)
 
 (** Mechanism by specification: {!Mda_mech.Mech_spec.t}, re-exported so
     experiment code names specs as [Cell.Direct], [Cell.Static_profiling], … *)
@@ -47,6 +47,9 @@ type t = {
           {!Mda_host.Peephole.active}) so cells marshal across worker
           processes; {!compute} activates them. The rule-file digest is
           part of {!describe}, hence of the result-cache key. *)
+  flush_policy : Mda_bt.Runtime.flush_policy;
+      (** what a retranslation evicts: its block (the default) or, as
+          in Dynamo, the whole code cache *)
 }
 
 val make :
@@ -54,6 +57,7 @@ val make :
   ?chaining:bool ->
   ?capacity:int ->
   ?rules:Mda_host.Peephole.t ->
+  ?flush_policy:Mda_bt.Runtime.flush_policy ->
   scale:float ->
   kind ->
   string ->
@@ -65,6 +69,7 @@ val mech :
   ?chaining:bool ->
   ?capacity:int ->
   ?rules:Mda_host.Peephole.t ->
+  ?flush_policy:Mda_bt.Runtime.flush_policy ->
   scale:float ->
   mech_spec ->
   string ->
@@ -82,7 +87,8 @@ val native :
   string ->
   t
 
-(** Canonical, injective, stable description — the cache-key material. *)
+(** Canonical, injective, stable description — the cache-key material.
+    Only a [Full_flush] cell's key names its flush policy. *)
 val describe : t -> string
 
 (** One profiled static site of an [Interp] cell's dump (sorted by

@@ -1,8 +1,7 @@
 (** Shared machinery for the per-table/figure experiment runners: the
     options every runner takes, the best-configuration constants of
     Section VI-C, normalization helpers, and the rendered-output type
-    every experiment returns. Runs themselves are cells ({!Cell.compute})
-    or, outside the result cache, {!Cell.run}. *)
+    every experiment returns. Runs themselves are cells ({!Cell.compute}). *)
 
 type options = {
   scale : float; (** workload volume multiplier *)

@@ -28,10 +28,7 @@ let run ?(opts = Experiment.default_options) () =
   in
   List.iter
     (fun name ->
-      (* instantiation is cheap (no execution); only the layout's
-         library boundary is needed here *)
-      let w = W.Workload.instantiate ~scale name in
-      let boundary = w.W.Workload.program.W.Gen.lib_boundary in
+      let boundary = W.Workload.lib_boundary ~scale name in
       let sites = Exec.sites ex (Cell.interp ~scale name) in
       let total = ref 0 and in_lib = ref 0 in
       Array.iter

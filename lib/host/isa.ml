@@ -42,8 +42,6 @@ let reg_name r =
 (* Memory access width for the aligned loads/stores. *)
 type mem_size = M1 | M2 | M4 | M8
 
-let mem_bytes = function M1 -> 1 | M2 -> 2 | M4 -> 4 | M8 -> 8
-
 let mem_of_bytes = function
   | 1 -> M1 | 2 -> M2 | 4 -> M4 | 8 -> M8
   | n -> invalid_arg (Printf.sprintf "Host.Isa.mem_of_bytes: %d" n)
@@ -140,10 +138,6 @@ let alignment_requirement = function
   | Stl _ -> Some (`Store, 4)
   | Stq _ -> Some (`Store, 8)
   | _ -> None
-
-let is_control = function
-  | Br _ | Bcond _ | Jmp _ | Monitor _ -> true
-  | _ -> false
 
 (* --- packed instruction keys -------------------------------------------- *)
 

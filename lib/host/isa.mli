@@ -34,8 +34,6 @@ val reg_name : reg -> string
 (** Width of the aligned memory operations. *)
 type mem_size = M1 | M2 | M4 | M8
 
-val mem_bytes : mem_size -> int
-
 val mem_of_bytes : int -> mem_size
 
 (** Integer operate instructions. [Addl]/[Subl] produce sign-extended
@@ -111,8 +109,6 @@ val is_mem_access : insn -> bool
     trap) and non-memory instructions. *)
 val alignment_requirement : insn -> ([ `Load | `Store ] * int) option
 
-val is_control : insn -> bool
-
 (** Packs an instruction into a nonnegative int when every field fits
     its expected range (registers 0..31, 16-bit displacements, 8-bit
     literals, nonnegative branch targets and guest addresses); [-1]
@@ -130,11 +126,10 @@ val pack_lda : reg -> reg -> int -> int
 
 val pack_ldah : reg -> reg -> int -> int
 
-val pack_opr : oper -> reg -> operand -> reg -> int
-
-(** [pack_opr] with the second operand known to be a register
-    ([pack_opr_r op ra rb rc = pack_opr op ra (Rb rb) rc]) or a
-    literal ([pack_opr_l op ra v rc = pack_opr op ra (Lit v) rc]). *)
+(** {!pack} of an [Opr] whose second operand is known to be a
+    register ([pack_opr_r op ra rb rc] is
+    [pack (Opr { op; ra; rb = Rb rb; rc })]) or a literal
+    ([pack_opr_l op ra v rc] is [pack (Opr { op; ra; rb = Lit v; rc })]). *)
 
 val pack_opr_r : oper -> reg -> reg -> reg -> int
 

@@ -1,12 +1,9 @@
 (** Tenant identity and per-tenant workload synthesis for the serving
     layer. Each tenant owns a disjoint window of guest-code address
-    space ([spacing] bytes starting at {!base_of}), so sessions from
+    space (a fixed-size window starting at {!base_of}), so sessions from
     different tenants can share one code cache without block-key
     collisions, and cache residency is attributable to a tenant from a
     block's guest start address alone ({!owner_of}). *)
-
-(** Guest-code window size per tenant, in bytes. *)
-val spacing : int
 
 (** Guest-code base address of tenant [tid]. *)
 val base_of : int -> int

@@ -54,9 +54,6 @@ type site_layout = { cell : int; region : int; disp : int; is_store : bool }
 (** Stride of a [Mixed] site; [period] must divide [width]. *)
 val mixed_stride : width:int -> period:int -> int
 
-(** Per-site (refs, MDAs) for a full run under [input]. *)
-val site_counts : group -> input -> int * int
-
 (** Whole-group (refs, MDAs), including phase-switch traffic. *)
 val group_counts : group -> input -> int * int
 

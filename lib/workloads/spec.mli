@@ -49,9 +49,6 @@ val default_traits : traits
 (** Onset beyond every Figure-10 threshold. *)
 val undetectable : int
 
-(** The 21 benchmarks of Tables III/IV with their traits. *)
-val selected : (string * traits) list
-
 val selected_names : string list
 
 (** Traits for any Table-I benchmark (defaults derived from the row for

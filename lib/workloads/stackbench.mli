@@ -17,9 +17,6 @@ val name : string
     loop iteration. *)
 val row : Spec.row
 
-(** Main-loop trip count. *)
-val iterations : int
-
 (** Build the program. The binary and (empty) data segment are
     input-independent; the parameter mirrors {!Gen.build}. *)
 val program : input:Gen.input -> Gen.program

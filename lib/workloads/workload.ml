@@ -285,29 +285,36 @@ let apply_variant variant groups =
           bloat = (g.Gen.bloat + if i mod 4 = 0 then 1 else 0) })
       groups
 
+(* A workload whose shape is fixed by its source — a hand-assembled
+   microbenchmark or a hand-written assembly file: scale and variant do
+   not apply. *)
+let fixed ~input name row program =
+  { name; row; traits = Spec.default_traits; input; scale = 1.0; program }
+
 let instantiate ?(scale = 1.0) ?(input = Gen.Ref) ?(variant = Default) name =
   if String.equal name Stackbench.name then
-    (* the hand-assembled stack-frame microbenchmark: fixed shape
-       (scale and variant do not apply), synthetic paper row *)
-    { name;
-      row = Stackbench.row;
-      traits = Spec.default_traits;
-      input;
-      scale = 1.0;
-      program = Stackbench.program ~input }
-  else if Asmfile.is_asm_name name then begin
-    (* hand-written assembly file: shape is fixed by the source text;
-       the row is measured, not predicted *)
-    let program, row = Asmfile.load name in
-    { name; row; traits = Spec.default_traits; input; scale = 1.0; program }
-  end
-  else begin
-    let row = Spec.find name in
-    let traits = Spec.traits_of name in
-    let groups = apply_variant variant (plan_groups row traits ~scale) in
-    let program = Gen.build ~input groups in
-    { name; row; traits; input; scale; program }
-  end
+    fixed ~input name Stackbench.row (Stackbench.program ~input)
+  else
+    match Flushbench.phases_of_name name with
+    | Some phases ->
+      fixed ~input name (Flushbench.row ~phases) (Flushbench.program ~phases ~input)
+    | None when Asmfile.is_asm_name name ->
+      (* the row is measured, not predicted *)
+      let program, row = Asmfile.load name in
+      fixed ~input name row program
+    | None ->
+      let row = Spec.find name in
+      let traits = Spec.traits_of name in
+      let groups = apply_variant variant (plan_groups row traits ~scale) in
+      let program = Gen.build ~input groups in
+      { name; row; traits; input; scale; program }
+
+(* Only a library share lays groups out as library code (see
+   [plan_groups]), so a selected benchmark without one has no boundary
+   and needs no program synthesized to say so. *)
+let lib_boundary ?scale name =
+  if Spec.is_selected name && (Spec.traits_of name).Spec.lib_frac = 0.0 then None
+  else (instantiate ?scale name).program.Gen.lib_boundary
 
 (* Fresh, initialized memory for a run of this workload. *)
 let fresh_memory t = snd (Gen.load t.program)

@@ -203,6 +203,23 @@ let test_trap_cost_ablation_shares_fig16 () =
   Alcotest.(check int) "fig16 reuses all 12" 12 fig16.H.Exec.memo_hits;
   Alcotest.(check int) "fig16 computes only its DPEH column" 3 fig16.H.Exec.computed
 
+(* The flush ablation's runs are cells like every other experiment's:
+   8 distinct (phase count, flush policy) cells computed once into the
+   result cache, then all served from it by a later process. *)
+let test_flush_ablation_is_cached () =
+  let dir = fresh_dir () in
+  let run () =
+    let ex = H.Exec.create ~cache:(H.Result_cache.create ~dir ()) () in
+    ignore (H.Ablation.flush ~opts:{ H.Experiment.default_options with exec = Some ex } ());
+    H.Exec.counters ex
+  in
+  let cold = run () in
+  Alcotest.(check int) "cold: 8 computed" 8 cold.H.Exec.computed;
+  Alcotest.(check int) "cold: no repeated request" 0 cold.H.Exec.memo_hits;
+  let warm = run () in
+  Alcotest.(check int) "warm: nothing computed" 0 warm.H.Exec.computed;
+  Alcotest.(check int) "warm: all 8 served from the cache" 8 warm.H.Exec.cache_hits
+
 let test_racing_writers () =
   (* two concurrent mdabench invocations writing into the same cache
      directory: the advisory lock serializes stores, so after both
@@ -344,6 +361,8 @@ let suite =
         Alcotest.test_case "--no-cache bypass" `Quick test_no_cache_bypass;
         Alcotest.test_case "trap-cost ablation computes only Figure 16's cells" `Quick
           test_trap_cost_ablation_shares_fig16;
+        Alcotest.test_case "flush ablation runs are cached cells" `Quick
+          test_flush_ablation_is_cached;
         Alcotest.test_case "racing writers do not tear" `Quick test_racing_writers;
         Alcotest.test_case "contended lock is out-waited" `Quick
           test_lock_contention_backoff;

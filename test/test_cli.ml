@@ -327,6 +327,38 @@ let test_mine_replay_rejects_unprovable () =
   close_out oc;
   check_rc (Printf.sprintf "mine --replay %s" file) 1
 
+(* [mine --kill-check BENCH] runs BENCH at [--scale]: its report is the
+   in-process run driver's at that scale, mutated under the same seed *)
+let test_kill_check_honours_scale () =
+  let out =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mda_cli_kill_%d.txt" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ()) @@ fun () ->
+  ignore
+    (Sys.command
+       (Printf.sprintf
+          "%s mine --kill-check 164.gzip --rules %s --seed 7 --scale 0.02 > %s 2>/dev/null" exe
+          rules_file out));
+  let rules =
+    match Mda_host.Peephole.load rules_file with
+    | Ok rs -> Mda_host.Peephole.activate rs
+    | Error msg -> Alcotest.fail msg
+  in
+  let _, t, _ =
+    Mda_harness.Cell.run ~rules
+      (Mda_harness.Cell.subject ~scale:0.02 "164.gzip")
+      Mda_harness.Cell.Direct
+  in
+  let o =
+    Mda_analysis.Mutate.run ~cache:t.Mda_bt.Runtime.cache
+      ~block_of:(Mda_bt.Runtime.guest_block t) ~seed:7 ()
+  in
+  let expected = Format.asprintf "%a\n" Mda_analysis.Mutate.pp_outcome o in
+  let got = slurp out in
+  Alcotest.(check string) "outcome of the run at --scale 0.02" expected
+    (String.sub got 0 (min (String.length expected) (String.length got)))
+
 let test_run_with_rules () =
   (* the tier is accepted by every checked runner and reported on stdout *)
   let out =
@@ -372,4 +404,6 @@ let suite =
       Alcotest.test_case "mine --replay and --explain" `Quick test_mine_replay_and_explain;
       Alcotest.test_case "mine --replay rejects unprovable rules" `Quick
         test_mine_replay_rejects_unprovable;
-      Alcotest.test_case "run accepts --rules" `Quick test_run_with_rules ] ) ]
+      Alcotest.test_case "run accepts --rules" `Quick test_run_with_rules;
+      Alcotest.test_case "mine --kill-check honours --scale" `Quick
+        test_kill_check_honours_scale ] ) ]

@@ -124,6 +124,15 @@ let test_describe_unchanged () =
   check "dpeh_plain" (Spec.Mech H.Experiment.dpeh_plain_spec)
     "mech:dpeh(th=50,retrans=none,mv=false)"
 
+(* The flush policy is part of a cell's key, but only a [Full_flush]
+   cell names it: the block-granularity key is the pinned one above. *)
+let test_flush_policy_keys () =
+  let cell flush_policy = H.Cell.mech ~scale:0.05 ~flush_policy Spec.Direct "164.gzip" in
+  let block = H.Cell.describe (cell Bt.Runtime.Block_granularity) in
+  Alcotest.(check string) "block key is the default key" (key "mech:direct") block;
+  Alcotest.(check bool) "full-flush key differs" true
+    (block <> H.Cell.describe (cell Bt.Runtime.Full_flush))
+
 let suite =
   [ ( "registry",
       [ Alcotest.test_case "labels round-trip" `Quick test_labels_round_trip;
@@ -131,4 +140,5 @@ let suite =
           test_cli_matches_cell;
         Alcotest.test_case "chaos and tenant subjects prepare alike" `Quick
           test_chaos_and_tenant_subjects_agree;
-        Alcotest.test_case "Cell.describe keys unchanged" `Quick test_describe_unchanged ] ) ]
+        Alcotest.test_case "Cell.describe keys unchanged" `Quick test_describe_unchanged;
+        Alcotest.test_case "flush policy splits the key" `Quick test_flush_policy_keys ] ) ]

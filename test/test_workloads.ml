@@ -22,7 +22,11 @@ let test_all_benchmarks_build () =
       Alcotest.(check bool)
         (name ^ " has positive refs")
         true
-        (W.Workload.expected_refs w > 0))
+        (W.Workload.expected_refs w > 0);
+      Alcotest.(check (option int))
+        (name ^ " library boundary")
+        w.W.Workload.program.W.Gen.lib_boundary
+        (W.Workload.lib_boundary ~scale:0.02 name))
     W.Spec.all_names
 
 let test_all_selected_run_small () =
@@ -36,6 +40,20 @@ let test_all_selected_run_small () =
       Alcotest.(check int64) (name ^ ": mdas as predicted") expected_mdas
         stats.Bt.Run_stats.mdas)
     W.Spec.selected_names
+
+(* the flush microbenchmark predicts its counts in closed form; each
+   name's interpreter cell must measure exactly them *)
+let test_flushbench_counts () =
+  List.iter
+    (fun phases ->
+      let name = W.Flushbench.name phases in
+      let w = W.Workload.instantiate name in
+      let stats = (Mda_harness.Cell.compute (Mda_harness.Cell.interp ~scale:1.0 name)).stats in
+      Alcotest.(check int64) (name ^ ": refs as predicted")
+        (Int64.of_int (W.Workload.expected_refs w)) stats.Bt.Run_stats.memrefs;
+      Alcotest.(check int64) (name ^ ": mdas as predicted")
+        (Int64.of_int (W.Workload.expected_mdas w)) stats.Bt.Run_stats.mdas)
+    W.Flushbench.phase_counts
 
 (* --- ratio fidelity ---------------------------------------------------- *)
 
@@ -136,4 +154,6 @@ let suite =
         Alcotest.test_case "biased benchmark fully profiled" `Quick
           test_biased_benchmark_fully_profiled;
         Alcotest.test_case "Figure-15 classes present" `Quick test_bias_histogram_classes;
-        Alcotest.test_case "determinism" `Quick test_determinism ] ) ]
+        Alcotest.test_case "determinism" `Quick test_determinism;
+        Alcotest.test_case "flush microbenchmark counts match interpreter" `Quick
+          test_flushbench_counts ] ) ]
