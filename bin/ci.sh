@@ -178,11 +178,27 @@ dune exec bin/mdabench.exe -- run examples/asm/tour.asm -m eh \
   echo "FAIL: run gate (tour.asm)"; exit 1; }
 dune exec bin/mdabench.exe -- aot --program examples/asm/tour.asm --validate >/dev/null || {
   echo "FAIL: aot gate (tour.asm)"; exit 1; }
-dune exec bin/mdabench.exe -- verify --program examples/asm/tour.asm --jobs 2 >/dev/null || {
-  echo "FAIL: verify gate (tour.asm)"; exit 1; }
+# both examples validate with and without the committed peephole rules
+for f in tour stack; do
+  for rules in "" "--rules rules/pr8.rules"; do
+    # shellcheck disable=SC2086 # $rules is zero or two words
+    dune exec bin/mdabench.exe -- verify --program "examples/asm/$f.asm" $rules \
+      --jobs 2 >/dev/null || {
+      echo "FAIL: verify gate ($f.asm${rules:+ $rules})"; exit 1; }
+  done
+done
 dune exec bin/mdabench.exe -- chaos --program examples/asm/tour.asm \
   --plans 5 --seed 7 --jobs 2 >/dev/null || {
   echo "FAIL: chaos gate (tour.asm)"; exit 1; }
+# undefined labels are reported at the first use in source order: exit 1
+# and a one-line located diagnostic
+printf 'jmp zeta\njmp alpha\njmp beta\nhlt\n' >"$WORK/asm/undefined.asm"
+rc=0
+dune exec bin/mdabench.exe -- asm "$WORK/asm/undefined.asm" \
+  >/dev/null 2>"$WORK/asm/undefined.err" || rc=$?
+[ "$rc" -eq 1 ] && [ "$(wc -l <"$WORK/asm/undefined.err")" -eq 1 ] \
+  && grep -q 'line 1, column 5: undefined label "zeta"$' "$WORK/asm/undefined.err" || {
+  echo "FAIL: undefined.asm exited $rc (want 1) with stderr:"; cat "$WORK/asm/undefined.err"; exit 1; }
 # a guest store outside simulated memory is a typed fault: exit 3 and
 # a one-line diagnostic, never an uncaught exception
 rc=0

@@ -30,10 +30,6 @@ val const_int : int -> t
     stride. Raises [Invalid_argument] on non-power-of-two strides. *)
 val congr : stride:int -> offset:int -> t
 
-(** Known low bits as [(bits, value)]; exact values expose their full
-    unsigned 32-bit pattern. Raises on [Bot]. *)
-val low_bits : t -> int * int
-
 val equal : t -> t -> bool
 
 (** Concretization membership: does concrete [v] satisfy the abstract

@@ -2,10 +2,8 @@
     implementation). Guest programs are stored in simulated memory in
     this encoding and decoded back by the translator front end. *)
 
-(** Size-code used by the encoding (0..3 ↦ 1/2/4/8 bytes). *)
-val size_code : Isa.size -> int
-
-(** Inverse of {!size_code}. Raises [Invalid_argument] on other codes. *)
+(** The size of a size code of the encoding (0..3 ↦ 1/2/4/8 bytes).
+    Raises [Invalid_argument] on other codes. *)
 val size_of_code : int -> Isa.size
 
 (** Encode one instruction to bytes. *)

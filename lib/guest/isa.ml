@@ -132,13 +132,6 @@ let memory_access = function
   | Ret -> Some (`Load, S4)
   | _ -> None
 
-(* All data accesses of an instruction, in execution order; Rmw performs
-   a load then a store at the same address. *)
-let memory_accesses insn =
-  match insn with
-  | Rmw { size; _ } -> [ (`Load, size); (`Store, size) ]
-  | _ -> ( match memory_access insn with Some a -> [ a ] | None -> [])
-
 (* Is [op] legal as an x86 memory read-modify-write? *)
 let rmw_op_ok = function
   | Add | Sub | And | Or | Xor -> true

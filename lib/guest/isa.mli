@@ -108,14 +108,8 @@ type insn =
     touches nothing. *)
 val memory_access : insn -> ([ `Load | `Store ] * size) option
 
-(** All data accesses, in execution order (two for [Rmw]). *)
-val memory_accesses : insn -> ([ `Load | `Store ] * size) list
-
 (** Operations x86 supports as memory read-modify-writes. *)
 val rmw_op_ok : binop -> bool
-
-(** Registers an addressing mode reads. *)
-val addr_regs : addr -> reg list
 
 (** Registers written by an instruction (architectural state only;
     flags are tracked separately). Static analyses use this to havoc

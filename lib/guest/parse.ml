@@ -15,31 +15,28 @@
        hlt
 
    Errors are values carrying the 1-based line and column of the
-   offending token, so `mdabench asm` can point at it. *)
+   offending token, so `mdabench asm` can point at it. Comments, labels,
+   branch targets and errors are {!Mda_util.Asm_source}'s; this module
+   keeps the operand grammar, the mnemonic dispatch and `.base`. *)
 
 open Isa
 module C = Mda_util.Cursor
+module S = Mda_util.Asm_source
 
-type error = { line : int; col : int; msg : string }
+type error = S.error = { line : int; col : int; msg : string }
 
-let pp_error fmt { line; col; msg } = Format.fprintf fmt "line %d, column %d: %s" line col msg
+let pp_error = S.pp_error
+
+let syntax = { S.hash_comments = true; max_target = 0xFFFF_FFFF }
 
 (* --- token-level helpers ------------------------------------------------ *)
-
-let find_by name_of all name =
-  let rec go i =
-    if i >= Array.length all then None
-    else if name_of all.(i) = name then Some all.(i)
-    else go (i + 1)
-  in
-  go 0
 
 (* "%eax" etc.; [reg_name] includes the '%'. *)
 let reg c =
   let start = C.col c in
   C.expect c '%';
   let name = C.ident c in
-  match find_by reg_name all_regs ("%" ^ name) with
+  match S.find reg_name all_regs ("%" ^ name) with
   | Some r -> r
   | None -> C.error start "unknown register %%%s" name
 
@@ -124,49 +121,19 @@ let size_of_suffix = function
   | 'q' -> Some S8
   | _ -> None
 
-(* A branch target is a label (identifier) or an absolute address. *)
-type target = T_abs of int | T_label of string * int (* name, column *)
-
-let target c =
-  C.skip_ws c;
-  let start = C.col c in
-  if C.at_number c then begin
-    let v = C.number c in
-    if v < 0 || v > 0xFFFF_FFFF then C.error start "branch target %d out of range" v;
-    T_abs v
-  end
-  else
-    match C.peek c with
-    | Some ch when C.is_ident_start ch -> T_label (C.ident c, start)
-    | _ -> C.error start "expected a label or an absolute target"
-
-(* One parsed line item: either a complete instruction, or a branch
-   against a not-yet-resolved label. *)
-type parsed = P_insn of insn | P_jmp of string * int | P_jcc of cond * string * int | P_call of string * int
-
-let branch mk c =
-  match target c with
-  | T_abs t -> P_insn (mk t)
-  | T_label (l, col) -> (
-    match mk 0 with
-    | Jmp _ -> P_jmp (l, col)
-    | Jcc { cond; _ } -> P_jcc (cond, l, col)
-    | Call _ -> P_call (l, col)
-    | _ -> assert false)
-
 (* movX / movsX families: dispatch on operand shapes. *)
 let mov c mcol ~signed ~size ~suffixed =
   let src, dst = src_dst c in
   match (src, dst, signed) with
-  | O_addr src, O_reg dst, _ -> P_insn (Load { dst; src; size; signed })
-  | O_reg src, O_addr dst, false -> P_insn (Store { src; dst; size })
+  | O_addr src, O_reg dst, _ -> S.Insn (Load { dst; src; size; signed })
+  | O_reg src, O_addr dst, false -> S.Insn (Store { src; dst; size })
   | O_reg _, O_addr _, true -> C.error mcol "movs is a load; stores are never sign-extended"
   | O_imm imm, O_reg dst, false ->
     if suffixed <> 'l' then C.error mcol "immediate moves are always movl"
-    else P_insn (Mov_imm { dst; imm })
+    else S.Insn (Mov_imm { dst; imm })
   | O_reg src, O_reg dst, false ->
     if suffixed <> 'l' then C.error mcol "register moves are always movl"
-    else P_insn (Mov_reg { dst; src })
+    else S.Insn (Mov_reg { dst; src })
   | _ -> C.error mcol "unsupported mov operand combination"
 
 (* <binop><suffix>: register ALU op (suffix l, destination register) or
@@ -176,7 +143,7 @@ let alu c mcol op ~suffix =
   match dst with
   | O_reg dst ->
     if suffix <> 'l' then C.error mcol "register ALU ops are 32-bit; use the 'l' suffix"
-    else P_insn (Binop { op; dst; src = reg_or_imm mcol src })
+    else S.Insn (Binop { op; dst; src = reg_or_imm mcol src })
   | O_addr dst ->
     if not (rmw_op_ok op) then
       C.error mcol "%s cannot target memory (only add/sub/and/or/xor can)" (binop_name op)
@@ -186,21 +153,21 @@ let alu c mcol op ~suffix =
         | Some S8 | None -> C.error mcol "memory RMW sizes are b, w or l"
         | Some s -> s
       in
-      P_insn (Rmw { op; dst; src = reg_or_imm mcol src; size })
+      S.Insn (Rmw { op; dst; src = reg_or_imm mcol src; size })
     end
   | O_imm _ -> C.error mcol "destination must be a register or an address"
 
 let unary_reg c mk =
   C.skip_ws c;
   let r = reg c in
-  P_insn (mk r)
+  S.Insn (mk r)
 
 let two_op c mk =
   (* cmp/test print "op b, a": source operand first. *)
   let b, a = src_dst c in
   let mcol = C.col c in
   match a with
-  | O_reg a -> P_insn (mk a (reg_or_imm mcol b))
+  | O_reg a -> S.Insn (mk a (reg_or_imm mcol b))
   | _ -> C.error mcol "second operand must be a register"
 
 let insn_body c =
@@ -211,11 +178,11 @@ let insn_body c =
   let stem = String.sub m 0 (n - 1) in
   let last = m.[n - 1] in
   match m with
-  | "ret" -> P_insn Ret
-  | "nop" -> P_insn Nop
-  | "hlt" -> P_insn Halt
-  | "jmp" -> branch (fun t -> Jmp t) c
-  | "call" -> branch (fun t -> Call t) c
+  | "ret" -> S.Insn Ret
+  | "nop" -> S.Insn Nop
+  | "hlt" -> S.Insn Halt
+  | "jmp" -> S.branch syntax c (fun t -> Jmp t)
+  | "call" -> S.branch syntax c (fun t -> Call t)
   | "pushl" -> unary_reg c (fun r -> Push r)
   | "popl" -> unary_reg c (fun r -> Pop r)
   | "cmpl" -> two_op c (fun a b -> Cmp { a; b })
@@ -223,14 +190,14 @@ let insn_body c =
   | "leal" ->
     let src, dst = src_dst c in
     (match (src, dst) with
-    | O_addr src, O_reg dst -> P_insn (Lea { dst; src })
+    | O_addr src, O_reg dst -> S.Insn (Lea { dst; src })
     | _ -> C.error mcol "lea takes an address and a destination register")
   | _ -> (
     (* j<cond> *)
     match
-      if n > 1 && m.[0] = 'j' then find_by cond_name all_conds (String.sub m 1 (n - 1)) else None
+      if n > 1 && m.[0] = 'j' then S.find cond_name all_conds (String.sub m 1 (n - 1)) else None
     with
-    | Some cond -> branch (fun target -> Jcc { cond; target }) c
+    | Some cond -> S.branch syntax c (fun target -> Jcc { cond; target })
     | None -> (
       (* mov<size> / movs<size> *)
       let movlike signed =
@@ -242,156 +209,60 @@ let insn_body c =
       else if stem = "movs" then movlike true
       else
         (* <binop><size> *)
-        match find_by binop_name all_binops stem with
+        match S.find binop_name all_binops stem with
         | Some op when size_of_suffix last <> None -> alu c mcol op ~suffix:last
         | _ -> C.error mcol "unknown mnemonic %S" m))
 
-(* --- lines and programs ------------------------------------------------- *)
+(* --- programs ------------------------------------------------------------ *)
 
-let strip_comment line =
-  let n = String.length line in
-  let rec cut i =
-    if i >= n then line
-    else
-      match line.[i] with
-      | '#' | ';' -> String.sub line 0 i
-      | '/' when i + 1 < n && line.[i + 1] = '/' -> String.sub line 0 i
-      | _ -> cut (i + 1)
-  in
-  cut 0
+let insn = S.insn syntax insn_body
 
-let is_blank s = String.for_all (fun ch -> ch = ' ' || ch = '\t' || ch = '\r') s
-
-let fail line col fmt = Printf.ksprintf (fun msg -> Error { line; col; msg }) fmt
-
-let insn text =
-  let c = C.make (strip_comment text) in
-  match
-    if is_blank (strip_comment text) then fail 1 1 "expected an instruction"
-    else begin
-      match insn_body c with
-      | P_insn i ->
-        C.finish c;
-        Ok i
-      | P_jmp (l, col) | P_jcc (_, l, col) | P_call (l, col) ->
-        fail 1 col "label %S cannot be resolved outside a program" l
-    end
-  with
-  | r -> r
-  | exception C.Error (col, msg) -> Error { line = 1; col; msg }
-
-(* A program: lines of `label:` definitions, directives and instructions.
-   Labels are resolved with {!Asm}'s two-pass assembler; absolute
-   targets bypass it via {!Asm.branch_abs}. *)
+(* The rest of a program line: an instruction, or the `.base N`
+   directive, which must precede every label and instruction. Labels
+   resolve to byte addresses through {!Asm}: instruction [k] is bound to
+   label [at.(k)], and a branch to a label preceding instruction [k]
+   targets [at.(k)]. *)
 let program ?base text =
-  let b = Asm.create () in
-  let labels : (string, Asm.label) Hashtbl.t = Hashtbl.create 16 in
-  let bound : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
-  (* label uses, for "undefined label" messages: name -> first use site *)
-  let used : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let label_of name =
-    match Hashtbl.find_opt labels name with
-    | Some l -> l
-    | None ->
-      let l = Asm.fresh_label b in
-      Hashtbl.replace labels name l;
-      l
+  let base = ref base and saw_code = ref false in
+  let define col name =
+    if name = ".base" then C.error col ".base is a directive, not a label";
+    saw_code := true
   in
-  let base = ref base in
-  let saw_code = ref false in
-  let exception Stop of error in
-  let line_no = ref 0 in
-  try
-    String.split_on_char '\n' text
-    |> List.iter (fun raw ->
-           incr line_no;
-           let line = !line_no in
-           let stop col fmt = Printf.ksprintf (fun msg -> raise (Stop { line; col; msg })) fmt in
-           let text = strip_comment raw in
-           if not (is_blank text) then begin
-             let c = C.make text in
-             try
-               C.skip_ws c;
-               (* leading `name:` label definitions (possibly several) *)
-               let rec labels_here () =
-                 match C.peek c with
-                 | Some ch when C.is_ident_start ch ->
-                   let start = C.col c in
-                   let save = (start, C.ident c) in
-                   if C.eat c ':' then begin
-                     let start, name = save in
-                     if name = ".base" then stop start ".base is a directive, not a label";
-                     (match Hashtbl.find_opt bound name with
-                     | Some (dl, _) -> stop start "label %S already defined on line %d" name dl
-                     | None -> ());
-                     Hashtbl.replace bound name (line, start);
-                     saw_code := true;
-                     Asm.bind b (label_of name);
-                     C.skip_ws c;
-                     labels_here ()
-                   end
-                   else
-                     (* not a label: rewind is impossible with the cursor, so
-                        re-lex the line from the identifier start *)
-                     Some (start, snd save)
-                 | _ -> None
-               in
-               let rest =
-                 match labels_here () with
-                 | Some (start, _) ->
-                   (* identifier without ':' — an instruction mnemonic; re-parse
-                      from its column *)
-                   let c2 = C.make text in
-                   while C.col c2 < start do
-                     C.advance c2
-                   done;
-                   Some c2
-                 | None ->
-                   C.skip_ws c;
-                   if C.peek c = None then None else Some c
-               in
-               match rest with
-               | None -> ()
-               | Some c -> (
-                 (* `.base N` directive *)
-                 let dcol = C.col c in
-                 if C.peek c = Some '.' then begin
-                   let d = C.ident c in
-                   if d <> ".base" then stop dcol "unknown directive %S" d;
-                   if !saw_code then stop dcol ".base must precede all code";
-                   if !base <> None then stop dcol "duplicate .base directive";
-                   C.skip_ws c;
-                   let v = C.number c in
-                   if v < 0 || v > 0xFFFF_FFFF then stop dcol "base address %d out of range" v;
-                   base := Some v;
-                   C.finish c
-                 end
-                 else begin
-                   saw_code := true;
-                   let use name col = if not (Hashtbl.mem used name) then Hashtbl.replace used name (line, col) in
-                   (match insn_body c with
-                   | P_insn i -> (
-                     match i with
-                     | Jmp _ | Jcc _ | Call _ -> Asm.branch_abs b i
-                     | _ -> Asm.insn b i)
-                   | P_jmp (l, col) ->
-                     use l col;
-                     Asm.jmp b (label_of l)
-                   | P_jcc (cond, l, col) ->
-                     use l col;
-                     Asm.jcc b cond (label_of l)
-                   | P_call (l, col) ->
-                     use l col;
-                     Asm.call b (label_of l));
-                   C.finish c
-                 end)
-             with C.Error (col, msg) -> raise (Stop { line; col; msg })
-           end);
-    (* all used labels must be bound *)
-    Hashtbl.iter
-      (fun name (line, col) ->
-        if not (Hashtbl.mem bound name) then raise (Stop { line; col; msg = Printf.sprintf "undefined label %S" name }))
-      used;
-    if Asm.num_insns b = 0 then raise (Stop { line = max 1 !line_no; col = 1; msg = "program has no instructions" });
-    Ok (Asm.assemble ?base:!base b)
-  with Stop e -> Error e
+  let line c =
+    let dcol = C.col c in
+    if C.peek c = Some '.' then begin
+      let d = C.ident c in
+      if d <> ".base" then C.error dcol "unknown directive %S" d;
+      if !saw_code then C.error dcol ".base must precede all code";
+      if !base <> None then C.error dcol "duplicate .base directive";
+      C.skip_ws c;
+      let v = C.number c in
+      if v < 0 || v > 0xFFFF_FFFF then C.error dcol "base address %d out of range" v;
+      base := Some v;
+      None
+    end
+    else begin
+      saw_code := true;
+      Some (insn_body c)
+    end
+  in
+  S.program syntax ~define line text
+  |> Result.map (fun (items, index) ->
+         let b = Asm.create () in
+         let at = Array.init (Array.length items + 1) (fun _ -> Asm.fresh_label b) in
+         Array.iteri
+           (fun k item ->
+             Asm.bind b at.(k);
+             match item with
+             | S.Insn ((Jmp _ | Jcc _ | Call _) as i) -> Asm.branch_abs b i
+             | S.Insn i -> Asm.insn b i
+             | S.Label_use (l, _, mk) -> (
+               let l = at.(index l) in
+               match mk 0 with
+               | Jmp _ -> Asm.jmp b l
+               | Jcc { cond; _ } -> Asm.jcc b cond l
+               | Call _ -> Asm.call b l
+               | _ -> assert false))
+           items;
+         Asm.bind b at.(Array.length items);
+         Asm.assemble ?base:!base b)

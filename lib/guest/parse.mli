@@ -4,10 +4,12 @@
     source operand first, [%]-prefixed registers, [$]-prefixed
     immediates, [b]/[w]/[l]/[q] size suffixes — extended with
     [label:] definitions, label branch targets, a [.base] directive,
-    and [#]/[;]/[//] comments. *)
+    and [#]/[;]/[//] comments. Comments, labels, branch targets and
+    errors come from {!Mda_util.Asm_source}, shared with the host
+    assembler; this module adds the x86lite grammar and [.base]. *)
 
 (** A parse error, pointing at the offending token (1-based). *)
-type error = { line : int; col : int; msg : string }
+type error = Mda_util.Asm_source.error = { line : int; col : int; msg : string }
 
 val pp_error : Format.formatter -> error -> unit
 

@@ -1,9 +1,5 @@
 (** AT&T-flavoured pretty printer for x86lite. *)
 
-val pp_size : Format.formatter -> Isa.size -> unit
-
-val pp_addr : Format.formatter -> Isa.addr -> unit
-
 val pp_operand : Format.formatter -> Isa.operand -> unit
 
 val pp_insn : Format.formatter -> Isa.insn -> unit

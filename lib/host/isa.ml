@@ -42,10 +42,6 @@ let reg_name r =
 (* Memory access width for the aligned loads/stores. *)
 type mem_size = M1 | M2 | M4 | M8
 
-let mem_of_bytes = function
-  | 1 -> M1 | 2 -> M2 | 4 -> M4 | 8 -> M8
-  | n -> invalid_arg (Printf.sprintf "Host.Isa.mem_of_bytes: %d" n)
-
 (* Integer operate instructions (register/register-or-literal). *)
 type oper =
   | Addq | Subq | Mulq
@@ -122,11 +118,6 @@ type insn =
   | Jmp of { ra : reg; rb : reg } (* indirect jump through R[rb] *)
   | Monitor of exit_kind
   | Nop
-
-let is_mem_access = function
-  | Ldbu _ | Ldwu _ | Ldl _ | Ldq _ | Ldq_u _
-  | Stb _ | Stw _ | Stl _ | Stq _ | Stq_u _ -> true
-  | _ -> false
 
 (* Width/direction of an access that is subject to the host's alignment
    restriction; Ldq_u / Stq_u and byte accesses never trap. *)
@@ -247,8 +238,6 @@ let tmp_regs = [| 21; 22; 23; 24; 25; 26; 27; 28 |]
 let reserved_regs = [| 8; 9; 17; 18; 19; 20; 29; 30 |]
 
 let is_reserved_reg r = Array.exists (fun x -> x = r) reserved_regs
-
-let guest_reg_base = 0 (* guest reg i lives in host reg i *)
 
 let cmp_a = 10
 

@@ -34,8 +34,6 @@ val reg_name : reg -> string
 (** Width of the aligned memory operations. *)
 type mem_size = M1 | M2 | M4 | M8
 
-val mem_of_bytes : int -> mem_size
-
 (** Integer operate instructions. [Addl]/[Subl] produce sign-extended
     32-bit results (and [addl r31, x, x] is the canonical longword
     sign-extension idiom); [Sextb]/[Sextw] sign-extend operand [b]. *)
@@ -102,8 +100,6 @@ type insn =
   | Monitor of exit_kind
   | Nop
 
-val is_mem_access : insn -> bool
-
 (** Direction and width of an access subject to the alignment
     restriction; [None] for byte and [_q_u] accesses (which never
     trap) and non-memory instructions. *)
@@ -157,9 +153,6 @@ val tmp_regs : reg array
 val reserved_regs : reg array
 
 val is_reserved_reg : reg -> bool
-
-(** Guest register [i] lives in host register [guest_reg_base + i]. *)
-val guest_reg_base : int
 
 (** Flag-state registers (see the convention above). *)
 val cmp_a : reg

@@ -12,14 +12,21 @@
 
    Labels name instruction indices (host "pcs" are code-cache slot
    numbers, not byte addresses). Errors carry the 1-based line and
-   column of the offending token. *)
+   column of the offending token. Comments, labels, branch targets and
+   errors are {!Mda_util.Asm_source}'s; this module keeps the operand
+   grammar and the mnemonic dispatch. *)
 
 open Isa
 module C = Mda_util.Cursor
+module S = Mda_util.Asm_source
 
-type error = { line : int; col : int; msg : string }
+type error = S.error = { line : int; col : int; msg : string }
 
-let pp_error fmt { line; col; msg } = Format.fprintf fmt "line %d, column %d: %s" line col msg
+let pp_error = S.pp_error
+
+(* '#' introduces literals ("addq r1, #8, r2"), so unlike the guest
+   syntax it cannot start a comment here. *)
+let syntax = { S.hash_comments = false; max_target = max_int }
 
 (* --- token-level helpers ------------------------------------------------ *)
 
@@ -65,30 +72,6 @@ let mem_disp c =
   C.expect c ')';
   (disp, rb)
 
-(* A branch target: a label (identifier) or an absolute instruction
-   index. *)
-type target = T_abs of int | T_label of string * int (* name, column *)
-
-let target c =
-  C.skip_ws c;
-  let start = C.col c in
-  if C.at_number c then begin
-    let v = C.number c in
-    if v < 0 then C.error start "branch target %d out of range" v;
-    T_abs v
-  end
-  else
-    match C.peek c with
-    | Some ch when C.is_ident_start ch -> T_label (C.ident c, start)
-    | _ -> C.error start "expected a label or an absolute target"
-
-(* One parsed line item: a complete instruction, or a branch against a
-   not-yet-resolved label (filled in by {!program}'s second pass). *)
-type parsed =
-  | P_insn of insn
-  | P_br of reg * string * int
-  | P_bcond of bcond * reg * string * int
-
 (* --- mnemonic dispatch -------------------------------------------------- *)
 
 let mem_table =
@@ -104,22 +87,6 @@ let mem_table =
     ("stq_u", fun ra rb disp -> Stq_u { ra; rb; disp });
     ("lda", fun ra rb disp -> Lda { ra; rb; disp });
     ("ldah", fun ra rb disp -> Ldah { ra; rb; disp }) ]
-
-let find_oper name =
-  let rec go i =
-    if i >= Array.length all_opers then None
-    else if oper_name all_opers.(i) = name then Some all_opers.(i)
-    else go (i + 1)
-  in
-  go 0
-
-let find_bcond name =
-  let rec go i =
-    if i >= Array.length all_bconds then None
-    else if bcond_name all_bconds.(i) = name then Some all_bconds.(i)
-    else go (i + 1)
-  in
-  go 0
 
 (* extwl / inslh / mskqh ... : group + width letter + l/h. *)
 let find_bytem name =
@@ -159,8 +126,8 @@ let insn_body c =
   let mcol = C.col c in
   let m = C.ident c in
   match m with
-  | "nop" -> P_insn Nop
-  | "monitor" -> P_insn (monitor c mcol)
+  | "nop" -> S.Insn Nop
+  | "monitor" -> S.Insn (monitor c mcol)
   | "jmp" ->
     C.skip_ws c;
     let ra = reg c in
@@ -168,24 +135,21 @@ let insn_body c =
     C.expect c '(';
     let rb = reg c in
     C.expect c ')';
-    P_insn (Jmp { ra; rb })
+    S.Insn (Jmp { ra; rb })
   | "br" -> (
     C.skip_ws c;
     (* "br target" (ra = zero) or "br ra, target"; an identifier is a
        register only when a comma follows — else it is a label, even
        one spelled like "r5loop". *)
-    let ra, t =
-      if C.at_number c then (r31, target c)
-      else begin
-        let start = C.col c in
-        let name = C.ident c in
-        C.skip_ws c;
-        if C.eat c ',' then (reg_of_name start name, target c) else (r31, T_label (name, start))
-      end
-    in
-    match t with
-    | T_abs target -> P_insn (Br { ra; target })
-    | T_label (l, col) -> P_br (ra, l, col))
+    let br ra target = Br { ra; target } in
+    if C.at_number c then S.branch syntax c (br r31)
+    else begin
+      let start = C.col c in
+      let name = C.ident c in
+      C.skip_ws c;
+      if C.eat c ',' then S.branch syntax c (br (reg_of_name start name))
+      else S.Label_use (name, start, br r31)
+    end)
   | _ -> (
     match List.assoc_opt m mem_table with
     | Some mk ->
@@ -193,16 +157,14 @@ let insn_body c =
       let ra = reg c in
       comma c;
       let disp, rb = mem_disp c in
-      P_insn (mk ra rb disp)
+      S.Insn (mk ra rb disp)
     | None -> (
-      match find_bcond m with
-      | Some cond -> (
+      match S.find bcond_name all_bconds m with
+      | Some cond ->
         C.skip_ws c;
         let ra = reg c in
         comma c;
-        match target c with
-        | T_abs target -> P_insn (Bcond { cond; ra; target })
-        | T_label (l, col) -> P_bcond (cond, ra, l, col))
+        S.branch syntax c (fun target -> Bcond { cond; ra; target })
       | None -> (
         match find_bytem m with
         | Some (op, width, high) ->
@@ -212,9 +174,9 @@ let insn_body c =
           let rb = operand c in
           comma c;
           let rc = reg c in
-          P_insn (Bytem { op; width; high; ra; rb; rc })
+          S.Insn (Bytem { op; width; high; ra; rb; rc })
         | None -> (
-          match find_oper m with
+          match S.find oper_name all_opers m with
           | Some op ->
             C.skip_ws c;
             let ra = reg c in
@@ -222,122 +184,15 @@ let insn_body c =
             let rb = operand c in
             comma c;
             let rc = reg c in
-            P_insn (Opr { op; ra; rb; rc })
+            S.Insn (Opr { op; ra; rb; rc })
           | None -> C.error mcol "unknown mnemonic %S" m))))
 
-(* --- lines and programs ------------------------------------------------- *)
+(* --- programs ------------------------------------------------------------ *)
 
-(* '#' introduces literals ("addq r1, #8, r2"), so unlike the guest
-   syntax it cannot start a comment here. *)
-let strip_comment line =
-  let n = String.length line in
-  let rec cut i =
-    if i >= n then line
-    else
-      match line.[i] with
-      | ';' -> String.sub line 0 i
-      | '/' when i + 1 < n && line.[i + 1] = '/' -> String.sub line 0 i
-      | _ -> cut (i + 1)
-  in
-  cut 0
+let insn = S.insn syntax insn_body
 
-let is_blank s = String.for_all (fun ch -> ch = ' ' || ch = '\t' || ch = '\r') s
-
-let fail line col fmt = Printf.ksprintf (fun msg -> Error { line; col; msg }) fmt
-
-let insn text =
-  let stripped = strip_comment text in
-  if is_blank stripped then fail 1 1 "expected an instruction"
-  else
-    let c = C.make stripped in
-    match
-      match insn_body c with
-      | P_insn i ->
-        C.finish c;
-        Ok i
-      | P_br (_, l, col) | P_bcond (_, _, l, col) ->
-        fail 1 col "label %S cannot be resolved outside a program" l
-    with
-    | r -> r
-    | exception C.Error (col, msg) -> Error { line = 1; col; msg }
-
-(* Two-pass assembly over instruction indices: pass 1 parses lines and
-   records label positions, pass 2 patches label branches. *)
+(* Labels resolve to the index of the instruction they precede. *)
 let program text =
-  let items = ref [] (* reversed: line, parsed *)
-  and count = ref 0 in
-  let bound : (string, int * int) Hashtbl.t = Hashtbl.create 16 (* name -> index, def line *) in
-  let exception Stop of error in
-  let line_no = ref 0 in
-  try
-    String.split_on_char '\n' text
-    |> List.iter (fun raw ->
-           incr line_no;
-           let line = !line_no in
-           let text = strip_comment raw in
-           if not (is_blank text) then begin
-             let c = C.make text in
-             try
-               C.skip_ws c;
-               (* leading `name:` definitions *)
-               let rec labels_here () =
-                 match C.peek c with
-                 | Some ch when C.is_ident_start ch ->
-                   let start = C.col c in
-                   let name = C.ident c in
-                   if C.eat c ':' then begin
-                     (match Hashtbl.find_opt bound name with
-                     | Some (_, dl) ->
-                       raise
-                         (Stop
-                            { line;
-                              col = start;
-                              msg = Printf.sprintf "label %S already defined on line %d" name dl
-                            })
-                     | None -> ());
-                     Hashtbl.replace bound name (!count, line);
-                     C.skip_ws c;
-                     labels_here ()
-                   end
-                   else Some start
-                 | _ -> None
-               in
-               let rest =
-                 match labels_here () with
-                 | Some start ->
-                   let c2 = C.make text in
-                   while C.col c2 < start do
-                     C.advance c2
-                   done;
-                   Some c2
-                 | None ->
-                   C.skip_ws c;
-                   if C.peek c = None then None else Some c
-               in
-               match rest with
-               | None -> ()
-               | Some c ->
-                 let p = insn_body c in
-                 C.finish c;
-                 items := (line, p) :: !items;
-                 incr count
-             with C.Error (col, msg) -> raise (Stop { line; col; msg })
-           end);
-    let resolve name line col =
-      match Hashtbl.find_opt bound name with
-      | Some (idx, _) -> idx
-      | None -> raise (Stop { line; col; msg = Printf.sprintf "undefined label %S" name })
-    in
-    let code =
-      List.rev !items
-      |> List.map (fun (line, p) ->
-             match p with
-             | P_insn i -> i
-             | P_br (ra, l, col) -> Br { ra; target = resolve l line col }
-             | P_bcond (cond, ra, l, col) -> Bcond { cond; ra; target = resolve l line col })
-      |> Array.of_list
-    in
-    if Array.length code = 0 then
-      raise (Stop { line = max 1 !line_no; col = 1; msg = "program has no instructions" });
-    Ok code
-  with Stop e -> Error e
+  S.program syntax (fun c -> Some (insn_body c)) text
+  |> Result.map (fun (items, index) ->
+         Array.map (function S.Insn i -> i | S.Label_use (l, _, mk) -> mk (index l)) items)

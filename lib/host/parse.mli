@@ -3,10 +3,12 @@
     Alpha assembly style — [op ra, rb|#lit, rc] operate format,
     [mnem ra, disp(rb)] memory format — extended with [label:]
     definitions (labels name instruction indices), label branch
-    targets, and [;]/[//] comments. *)
+    targets, and [;]/[//] comments. Comments, labels, branch targets
+    and errors come from {!Mda_util.Asm_source}, shared with the guest
+    assembler; this module adds the alphalite grammar. *)
 
 (** A parse error, pointing at the offending token (1-based). *)
-type error = { line : int; col : int; msg : string }
+type error = Mda_util.Asm_source.error = { line : int; col : int; msg : string }
 
 val pp_error : Format.formatter -> error -> unit
 

@@ -46,6 +46,3 @@ let pp_insn fmt = function
   | Nop -> Format.pp_print_string fmt "nop"
 
 let insn_to_string i = Format.asprintf "%a" pp_insn i
-
-let pp_code fmt code =
-  Array.iteri (fun pc insn -> Format.fprintf fmt "%6d:  %a@\n" pc pp_insn insn) code

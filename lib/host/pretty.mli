@@ -5,6 +5,3 @@ val pp_operand : Format.formatter -> Isa.operand -> unit
 val pp_insn : Format.formatter -> Isa.insn -> unit
 
 val insn_to_string : Isa.insn -> string
-
-(** Listing of a code array, one line per instruction with its index. *)
-val pp_code : Format.formatter -> Isa.insn array -> unit

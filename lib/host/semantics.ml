@@ -12,6 +12,8 @@
    [_rf] forms inline the one definition here and keep every value
    unboxed. For the same reason nothing below calls into [Bits]. *)
 
+(* Shifts defined for any amount (|n| >= 64 yields 0); negative amounts
+   shift the other way. *)
 let[@inline] u64_shift_left v n =
   if n >= 64 || n <= -64 then 0L
   else if n >= 0 then Int64.shift_left v n

@@ -3,12 +3,6 @@
     machine executor so tests can check the byte-manipulation group
     against byte-level reference models. *)
 
-(** Shift helpers defined for any amount (|n| ≥ 64 yields 0); negative
-    amounts shift the other way. *)
-val u64_shift_left : int64 -> int -> int64
-
-val u64_shift_right : int64 -> int -> int64
-
 (** Semantics of an operate instruction on operand values. *)
 val oper : Isa.oper -> int64 -> int64 -> int64
 

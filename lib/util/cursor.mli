@@ -24,8 +24,6 @@ val skip_ws : t -> unit
 
 val is_ident_start : char -> bool
 
-val is_digit : char -> bool
-
 (** Reads an identifier: letters, digits, ['_'] and ['.'], not
     starting with a digit. Raises {!Error} if none starts here. *)
 val ident : t -> string

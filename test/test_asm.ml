@@ -496,26 +496,53 @@ let test_program_labels () =
     | i -> Alcotest.failf "expected jmp, got %s" (GPr.insn_to_string i))
 
 let test_program_base_directive () =
-  match GP.program ".base 0x4000\nnop\nhlt\n" with
+  (match GP.program ".base 0x4000\nnop\nhlt\n" with
   | Ok p -> Alcotest.(check int) "directive base" 0x4000 p.GA.base
-  | Error e -> Alcotest.failf "parse failed: %a" GP.pp_error e
+  | Error e -> Alcotest.failf "parse failed: %a" GP.pp_error e);
+  match GP.program "nop\n.base 0x2000\nhlt\n" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail ".base after code accepted"
 
-let test_program_errors () =
-  (match GP.program "jmp nowhere\nhlt\n" with
-  | Error e ->
-    Alcotest.(check int) "undefined label line" 1 e.GP.line;
-    Alcotest.(check bool) "names the label" true
-      (String.length e.GP.msg > 0)
-  | Ok _ -> Alcotest.fail "undefined label accepted");
-  (match GP.program "l:\nnop\nl:\nhlt\n" with
-  | Error e -> Alcotest.(check int) "duplicate label line" 3 e.GP.line
-  | Ok _ -> Alcotest.fail "duplicate label accepted");
-  (match GP.program "nop\n.base 0x2000\nhlt\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail ".base after code accepted");
-  match GP.program "# only a comment\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty program accepted"
+(* Source-level errors, which both assemblers report through the shared
+   source layer: each case is written once per ISA, with the same
+   expected diagnostic. [single] parses one instruction instead of a
+   program. *)
+let source_errors =
+  [ ( "undefined labels, first in source order",
+      false,
+      "jmp zeta\njmp alpha\njmp beta\nhlt\n",
+      " br zeta\n br alpha\n br beta\n nop\n",
+      {|line 1, column 5: undefined label "zeta"|} );
+    ( "duplicate label at its second definition",
+      false,
+      "l:\nnop\nl:\nhlt\n",
+      "l:\nnop\nl:\nnop\n",
+      {|line 3, column 1: label "l" already defined on line 1|} );
+    ( "comment-only program",
+      false,
+      "# only a comment\n",
+      "; only a comment\n",
+      "line 2, column 1: program has no instructions" );
+    ( "label target in a single instruction",
+      true,
+      "jmp out",
+      " br out",
+      {|line 1, column 5: label "out" cannot be resolved outside a program|} );
+    ( "blank single instruction",
+      true,
+      "  // nothing",
+      "  // nothing",
+      "line 1, column 1: expected an instruction" ) ]
+
+let test_source_error (_, single, guest, host, expected) () =
+  let check isa = function
+    | Ok () -> Alcotest.failf "%s: accepted, expected %s" isa expected
+    | Error e ->
+      Alcotest.(check string) isa expected (Format.asprintf "%a" GP.pp_error e)
+  in
+  let discard r = Result.map ignore r in
+  check "guest" (if single then discard (GP.insn guest) else discard (GP.program guest));
+  check "host" (if single then discard (HP.insn host) else discard (HP.program host))
 
 let test_host_program_labels () =
   let text = "  lda r1, 2(zero)\nspin:\n  subq r1, #1, r1\n  bne r1, spin\n  br out\nout:\n  nop\n" in
@@ -534,23 +561,11 @@ let test_host_program_labels () =
 
 (* --- the committed example workloads --------------------------------------- *)
 
-(* dune runtest runs in _build/default/test (where the glob deps put
-   the examples one level up); dune exec runs from the workspace root.
-   Accept either. *)
-let find_file rel =
-  let root =
-    try Sys.getenv "DUNE_SOURCEROOT" with Not_found -> Filename.concat ".." ".."
-  in
-  let candidates = [ Filename.concat ".." rel; rel; Filename.concat root rel ] in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "cannot locate %s from %s" rel (Sys.getcwd ())
+let tour_path = Test_util.find_file "examples/asm/tour.asm"
 
-let tour_path = find_file "examples/asm/tour.asm"
+let stack_path = Test_util.find_file "examples/asm/stack.asm"
 
-let stack_path = find_file "examples/asm/stack.asm"
-
-let wild_store_path = find_file "examples/asm/wild_store.asm"
+let wild_store_path = Test_util.find_file "examples/asm/wild_store.asm"
 
 (* The hand-written transcription of stack.frames must assemble to the
    exact byte image of the generated benchmark. *)
@@ -575,44 +590,6 @@ let test_tour_asm_loads () =
   Alcotest.(check bool) "expected_refs cover the MDAs" true
     (w.W.Workload.program.W.Gen.expected_refs
     >= w.W.Workload.program.W.Gen.expected_mdas)
-
-(* Golden disasm listing of tour.asm, rendered the way `mdabench
-   disasm` does: decode the encoded image back to text. Regenerate with
-   MDA_GOLDEN_WRITE=1 (same protocol as test_golden). *)
-let tour_disasm () =
-  match GP.program (Test_util.slurp tour_path) with
-  | Error e -> Alcotest.failf "tour.asm: %a" GP.pp_error e
-  | Ok p -> (
-    match GD.decode_all p.GA.image with
-    | Error e -> Alcotest.failf "tour.asm decode: %a" GD.pp_error e
-    | Ok decoded ->
-      let buf = Buffer.create 1024 in
-      List.iter
-        (fun (pos, insn) ->
-          Buffer.add_string buf
-            (Format.asprintf "%#8x:  %a\n" (p.GA.base + pos) GPr.pp_insn insn))
-        decoded;
-      Buffer.contents buf)
-
-let test_tour_disasm_golden () =
-  let actual = tour_disasm () in
-  if Sys.getenv_opt "MDA_GOLDEN_WRITE" <> None then begin
-    let root =
-      try Sys.getenv "DUNE_SOURCEROOT" with Not_found -> Filename.concat ".." ".."
-    in
-    let path = Filename.concat root "test/golden/disasm-tour.txt" in
-    let oc = open_out_bin path in
-    output_string oc actual;
-    close_out oc;
-    Printf.printf "golden: wrote %s\n" path
-  end
-  else begin
-    let path = find_file "test/golden/disasm-tour.txt" in
-    let expected = Test_util.slurp path in
-    if not (String.equal expected actual) then
-      Alcotest.failf "disasm-tour golden mismatch\n--- expected\n%s\n--- actual\n%s"
-        expected actual
-  end
 
 (* --- the fuzzer itself ------------------------------------------------------ *)
 
@@ -647,8 +624,7 @@ let suite =
         Alcotest.test_case "program error line" `Quick test_guest_program_error_line;
         Alcotest.test_case "size-suffix dispatch" `Quick test_suffix_dispatch;
         Alcotest.test_case "labels and directives" `Quick test_program_labels;
-        Alcotest.test_case ".base directive" `Quick test_program_base_directive;
-        Alcotest.test_case "program errors" `Quick test_program_errors ] );
+        Alcotest.test_case ".base directive" `Quick test_program_base_directive ] );
     ( "asm.host",
       [ Alcotest.test_case "exhaustive parse∘pretty = id" `Quick
           test_host_parse_pretty_id;
@@ -656,6 +632,10 @@ let suite =
         Alcotest.test_case "printer injective" `Quick test_host_printer_injective;
         Alcotest.test_case "error positions" `Quick test_host_error_positions;
         Alcotest.test_case "labels" `Quick test_host_program_labels ] );
+    ( "asm.source",
+      List.map
+        (fun ((name, _, _, _, _) as c) -> Alcotest.test_case name `Quick (test_source_error c))
+        source_errors );
     ( "asm.regressions",
       [ Alcotest.test_case "negative displacement hex" `Quick
           test_negative_disp_roundtrip;
@@ -665,8 +645,7 @@ let suite =
     ( "asm.examples",
       [ Alcotest.test_case "stack.asm image identical" `Quick
           test_stack_asm_image_identical;
-        Alcotest.test_case "tour.asm loads as a workload" `Quick test_tour_asm_loads;
-        Alcotest.test_case "tour.asm disasm golden" `Quick test_tour_disasm_golden ] );
+        Alcotest.test_case "tour.asm loads as a workload" `Quick test_tour_asm_loads ] );
     ( "asm.fuzz",
       [ Alcotest.test_case "smoke: zero mismatches" `Quick test_fuzz_smoke;
         Alcotest.test_case "deterministic" `Quick test_fuzz_deterministic ] );

@@ -21,20 +21,9 @@ module P = Mda_host.Peephole
 module Bt = Mda_bt
 module W = Mda_workloads
 
-(* dune runtest runs in _build/default/test (glob deps one level up);
-   dune exec runs from the workspace root. Accept either. *)
-let find_file rel =
-  let root =
-    try Sys.getenv "DUNE_SOURCEROOT" with Not_found -> Filename.concat ".." ".."
-  in
-  let candidates = [ Filename.concat ".." rel; rel; Filename.concat root rel ] in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "cannot locate %s from %s" rel (Sys.getcwd ())
-
 let committed_rules =
   lazy
-    (match P.load (find_file "rules/pr8.rules") with
+    (match P.load Test_util.committed_rules with
     | Ok rs -> rs
     | Error msg -> Alcotest.failf "cannot load rules/pr8.rules: %s" msg)
 
@@ -170,7 +159,7 @@ let test_corpus_identical () = check_workloads (W.Spec.selected_names @ [ "stack
 
 (* The hand-written examples flow in through the .asm loader path. *)
 let test_asm_examples_identical () =
-  check_workloads [ find_file "examples/asm/tour.asm"; find_file "examples/asm/stack.asm" ]
+  check_workloads [ Test_asm.tour_path; Test_asm.stack_path ]
 
 (* --- property: random blocks ------------------------------------------ *)
 

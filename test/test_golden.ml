@@ -51,6 +51,22 @@ let explain_rules () =
   | Error e -> failwith e
   | Ok rules -> String.concat "\n" (List.map Mda_host.Peephole.explain rules)
 
+(* examples/asm/tour.asm rendered the way [mdabench disasm] lists it:
+   assembled, encoded, and decoded back to text. *)
+let disasm_tour () =
+  let module GA = Mda_guest.Asm in
+  match Mda_guest.Parse.program (Test_util.slurp Test_asm.tour_path) with
+  | Error e -> Alcotest.failf "tour.asm: %a" Mda_guest.Parse.pp_error e
+  | Ok p -> (
+    match Mda_guest.Decode.decode_all p.GA.image with
+    | Error e -> Alcotest.failf "tour.asm decode: %a" Mda_guest.Decode.pp_error e
+    | Ok decoded ->
+      String.concat ""
+        (List.map
+           (fun (pos, insn) ->
+             Format.asprintf "%#8x:  %a\n" (p.GA.base + pos) Mda_guest.Pretty.pp_insn insn)
+           decoded))
+
 (* Tests run in _build/default/test; the source tree sits behind the
    workspace root recorded by dune. *)
 let source_golden name =
@@ -99,6 +115,7 @@ let cases =
       fun () -> H.Experiment.render (H.Ablation.flush ~opts:golden_opts ()) );
     ("census-stack", census_stack);
     ("explain-pr8", explain_rules);
+    ("disasm-tour", disasm_tour);
     ("chaos-42", cli "chaos --seed 42 --plans 3");
     ("chaos-serve-42", cli "chaos --serve --seed 42 --plans 2");
     ("serve-42", cli "serve --tenants 3 --sessions 2 --seed 42 --storm 2 --noisy 1");

@@ -2,16 +2,20 @@
 
 open Mda_util
 
-(* The committed peephole rule file, found whether the suite runs from
-   the dune sandbox (the [rules/*.rules] dep is materialised next to the
-   test) or via [dune exec] (resolved through the workspace root). *)
-let committed_rules =
-  let local = Filename.concat ".." (Filename.concat "rules" "pr8.rules") in
-  if Sys.file_exists local then local
-  else
-    match Sys.getenv_opt "DUNE_SOURCEROOT" with
-    | Some root -> Filename.concat root (Filename.concat "rules" "pr8.rules")
-    | None -> local
+(* A repository file, found whether the suite runs from the dune
+   sandbox (_build/default/test, where the deps are materialised one
+   level up) or via [dune exec] (from the workspace root). *)
+let find_file rel =
+  let root =
+    try Sys.getenv "DUNE_SOURCEROOT" with Not_found -> Filename.concat ".." ".."
+  in
+  let candidates = [ Filename.concat ".." rel; rel; Filename.concat root rel ] in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "cannot locate %s from %s" rel (Sys.getcwd ())
+
+(* The committed peephole rule file. *)
+let committed_rules = find_file "rules/pr8.rules"
 
 let slurp path = In_channel.with_open_bin path In_channel.input_all
 
