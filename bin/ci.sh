@@ -126,6 +126,19 @@ cmp "$WORK/trace/serve-plain.txt" "$WORK/trace/serve-traced.txt" || {
   echo "FAIL: --trace-out changed serve's stdout"; exit 1; }
 dune exec bin/mdabench.exe -- trace --replay "$WORK/trace/serve.jsonl" >/dev/null || {
   echo "FAIL: replay gate failed for serve"; exit 1; }
+# and for a bounded serve, whose shared-cache evictions are traced and
+# counted through the evicting session's runtime
+SERVE_BOUND="serve --tenants 5 --sessions 3 --seed 7 --cache-capacity 200 --noisy 1,2 --storm 3"
+dune exec bin/mdabench.exe -- $SERVE_BOUND >"$WORK/trace/bound-plain.txt" 2>/dev/null
+dune exec bin/mdabench.exe -- $SERVE_BOUND --trace-out "$WORK/trace/bound.jsonl" \
+  >"$WORK/trace/bound-traced.txt" 2>/dev/null
+cmp "$WORK/trace/bound-plain.txt" "$WORK/trace/bound-traced.txt" || {
+  echo "FAIL: --trace-out changed bounded serve's stdout"; exit 1; }
+dune exec bin/mdabench.exe -- trace --replay "$WORK/trace/bound.jsonl" >/dev/null || {
+  echo "FAIL: replay gate failed for bounded serve"; exit 1; }
+EVICT=$(sed -n 's/^shared cache:.*; evictions \([0-9]*\)$/\1/p' "$WORK/trace/bound-plain.txt")
+[ -n "$EVICT" ] && [ "$EVICT" -gt 0 ] || {
+  echo "FAIL: bounded serve evicted ${EVICT:-?} blocks (need > 0)"; exit 1; }
 # every mechanism's trace must replay to the exact recorded statistics
 for MECH in direct static dynamic eh dpeh sa aot; do
   dune exec bin/mdabench.exe -- trace 410.bwaves -m "$MECH" --scale 0.05 \

@@ -100,7 +100,14 @@ let capacity_arg =
      eviction; retranslation on re-dispatch). Interpreter cells have no code cache and \
      are unaffected."
   in
-  Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~docv:"INSNS" ~doc)
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+      Error (`Msg (Printf.sprintf "invalid cache capacity %S: expected an integer >= 1" s))
+  in
+  let insns = Arg.conv (parse, Arg.conv_printer Arg.int) in
+  Arg.(value & opt (some insns) None & info [ "cache-capacity" ] ~docv:"INSNS" ~doc)
 
 (* [-m] of run/trace/hot: a run-family label, default eh *)
 let mechanism_arg ~doc =
@@ -1354,16 +1361,16 @@ let serve_cmd =
           (fun a (s : Srv.Scheduler.session_report) -> a + s.Srv.Scheduler.hits)
           0 r.Srv.Scheduler.sessions
       in
+      (* guest insns per thousand cycles *)
+      let ipk (st : Bt.Run_stats.t) =
+        if Int64.compare st.cycles 0L <= 0 then 0L
+        else Int64.div (Int64.mul 1000L st.guest_insns) st.cycles
+      in
+      let total = o.Srv.Scheduler.agg_stats in
       Printf.printf
         "cycles %Ld; guest insns %Ld; throughput %Ld insns/kcycle; p99 trap cost %Ld \
          cycles\n"
-        r.Srv.Scheduler.total_cycles r.Srv.Scheduler.total_guest_insns
-        (if Int64.compare r.Srv.Scheduler.total_cycles 0L <= 0 then 0L
-         else
-           Int64.div
-             (Int64.mul 1000L r.Srv.Scheduler.total_guest_insns)
-             r.Srv.Scheduler.total_cycles)
-        r.Srv.Scheduler.p99_trap_cycles;
+        total.cycles total.guest_insns (ipk total) r.Srv.Scheduler.p99_trap_cycles;
       Printf.printf "shared cache: %d blocks, %d live insns; hit share %d%% (%d/%d); \
                      evictions %d\n\n"
         r.Srv.Scheduler.cache_blocks r.Srv.Scheduler.cache_live_insns
@@ -1382,30 +1389,26 @@ let serve_cmd =
             | Srv.Tenants.Storm -> "storm"
           in
           let iso_cycles = match iso.(tid) with Ok c -> c | Error _ -> 0L in
+          let st = tr.Srv.Scheduler.t_stats in
           Printf.printf "t%-3d %-7s %5d %12Ld %12Ld %5Ld %4d%% %7Ld %7d %6d %8d %8s %6Ld%%\n"
-            tid kind tr.Srv.Scheduler.submissions tr.Srv.Scheduler.t_guest_insns
-            tr.Srv.Scheduler.t_cycles
-            (if Int64.compare tr.Srv.Scheduler.t_cycles 0L <= 0 then 0L
-             else
-               Int64.div
-                 (Int64.mul 1000L tr.Srv.Scheduler.t_guest_insns)
-                 tr.Srv.Scheduler.t_cycles)
+            tid kind tr.Srv.Scheduler.submissions st.guest_insns st.cycles (ipk st)
             (pct tr.Srv.Scheduler.t_hits tr.Srv.Scheduler.t_dispatches)
-            tr.Srv.Scheduler.t_traps tr.Srv.Scheduler.t_translations
-            tr.Srv.Scheduler.evictions_suffered tr.Srv.Scheduler.t_restarts
+            st.traps st.translations tr.Srv.Scheduler.evictions_suffered
+            tr.Srv.Scheduler.t_restarts
             (if tr.Srv.Scheduler.demoted then "yes" else "no")
-            (pct64 tr.Srv.Scheduler.t_cycles iso_cycles))
+            (pct64 st.cycles iso_cycles))
         r.Srv.Scheduler.tenants;
       Printf.printf "\n%4s %4s %-9s %-9s %8s %10s %12s %12s %6s\n" "sid" "ten" "decision"
         "status" "restarts" "dispatches" "guest-insns" "cycles" "traps";
       List.iter
         (fun (s : Srv.Scheduler.session_report) ->
+          let st = s.Srv.Scheduler.stats in
           Printf.printf "%4d t%-3d %-9s %-9s %8d %10d %12Ld %12Ld %6Ld\n"
             s.Srv.Scheduler.sid s.Srv.Scheduler.s_tid
             (Srv.Scheduler.decision_to_string s.Srv.Scheduler.decision)
             (status_string s.Srv.Scheduler.status)
             s.Srv.Scheduler.restarts s.Srv.Scheduler.dispatches
-            s.Srv.Scheduler.guest_insns s.Srv.Scheduler.cycles s.Srv.Scheduler.traps)
+            st.guest_insns st.cycles st.traps)
         r.Srv.Scheduler.sessions;
       Option.iter
         (write_trace ~mechanism:mech ~bench:"serve" ~scale:1.0 ~stats:o.Srv.Scheduler.agg_stats)

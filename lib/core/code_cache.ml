@@ -192,6 +192,18 @@ let live_insns t =
   iter_blocks t (fun b -> if b.entry <> None then total := !total + block_live_insns b);
   !total
 
+(* The one LRU eviction rule: the least-recently-dispatched live block
+   that [eligible] admits, ties broken by guest address so eviction
+   order is deterministic. *)
+let lru_victim t ~eligible =
+  let best = ref None in
+  iter_blocks t (fun b ->
+      if b.entry <> None && eligible b then
+        match !best with
+        | Some v when (v.last_used, v.start) <= (b.last_used, b.start) -> ()
+        | _ -> best := Some b);
+  !best
+
 (* --- iteration hooks for cache-wide analyses --------------------------- *)
 
 (* Live (currently translated) blocks in deterministic guest-address

@@ -110,6 +110,11 @@ val block_live_insns : block_rec -> int
     until a flush, so [length] overstates residency. *)
 val live_insns : t -> int
 
+(** The least-recently-dispatched live block that [eligible] admits
+    (smallest [(last_used, start)], so ties go to the lower guest
+    address): the victim every LRU eviction of a bounded cache takes. *)
+val lru_victim : t -> eligible:(block_rec -> bool) -> block_rec option
+
 (** Live (translated) blocks in guest-address order: a deterministic
     iteration order for cache-wide analyses (validator, mutation
     harness). *)

@@ -161,6 +161,7 @@ let create ?(config = default_config (Mechanism.Exception_handling { rearrange =
      by evicting translations the runtime can never regenerate, so the
      combination is rejected here rather than silently violated. *)
   (match config.faults.cache_capacity with
+  | Some c when c < 1 -> invalid_arg "Runtime.create: cache capacity must be >= 1"
   | Some _ when Mechanism.is_static config.mechanism ->
     invalid_arg "Runtime.create: a bounded code cache cannot back an immutable AOT cache"
   | _ -> ());
@@ -297,8 +298,10 @@ let invalidate_block t (brec : Code_cache.block_rec) =
   Machine.Cpu.charge t.cpu t.config.cost.invalidate_block
 
 (* Drop one block to make room: unlink its in-chains, remove its sites,
-   clear its entry. Under Block_granularity the evicted block keeps its
-   heat, so the very next dispatch re-translates it. *)
+   clear its entry. The only eviction path — [enforce_capacity] and the
+   serving layer's shared cache both evict through it. The evicted block
+   keeps its heat (only Full_flush resets it), so the very next
+   dispatch re-translates it. *)
 let evict_block t (b : Code_cache.block_rec) =
   let freed = Code_cache.block_live_insns b in
   invalidate_block t b;
@@ -310,10 +313,9 @@ let evict_block t (b : Code_cache.block_rec) =
    block being translated or patched right now) is never a victim, so a
    single oversized block may legally overshoot the bound.
 
-   Block_granularity evicts least-recently-dispatched blocks one at a
-   time (ties broken by guest address, so eviction order is
-   deterministic); Full_flush is the Dynamo policy — one overflow drops
-   every other live translation and resets their heat. *)
+   Block_granularity evicts one {!Code_cache.lru_victim} at a time;
+   Full_flush is the Dynamo policy — one overflow drops every other
+   live translation and resets their heat. *)
 let enforce_capacity t ~(current : Code_cache.block_rec) =
   match t.config.faults.cache_capacity with
   | None -> ()
@@ -328,19 +330,11 @@ let enforce_capacity t ~(current : Code_cache.block_rec) =
             end);
         Machine.Hierarchy.invalidate_code t.cpu.Machine.Cpu.hier
       | Block_granularity ->
-        let victim () =
-          let best = ref None in
-          Code_cache.iter_blocks t.cache (fun b ->
-              if b.entry <> None && b.start <> current.start then
-                match !best with
-                | Some (v : Code_cache.block_rec)
-                  when (v.last_used, v.start) <= (b.last_used, b.start) -> ()
-                | _ -> best := Some b);
-          !best
-        in
         let rec go () =
           if Code_cache.live_insns t.cache > cap then
-            match victim () with
+            match
+              Code_cache.lru_victim t.cache ~eligible:(fun b -> b.start <> current.start)
+            with
             | Some b ->
               evict_block t b;
               go ()

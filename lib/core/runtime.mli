@@ -104,8 +104,8 @@ type t = {
 (** Fresh runtime over [mem] (which must already hold the guest image).
     [cache] supplies a pre-populated code cache — how an {!Aot} image
     is executed; omitted, the runtime starts with an empty one. Raises
-    [Invalid_argument] when an immutable (AOT) mechanism is combined
-    with an injected cache-capacity bound. *)
+    [Invalid_argument] for a cache-capacity bound below 1, or when an
+    immutable (AOT) mechanism is combined with any bound. *)
 val create : ?config:config -> ?cache:Code_cache.t -> mem:Mda_machine.Memory.t -> unit -> t
 
 (** The runtime's counter registry (same value as the [counters] field). *)
@@ -170,6 +170,15 @@ val total_guest_insns : t -> int64
 (** Snapshot the run's statistics at the current dispatch boundary,
     with the caller naming why execution stopped. *)
 val stats : t -> stop:Run_stats.stop_reason -> Run_stats.t
+
+(** Drop one block's translation to make room in a bounded cache: the
+    only eviction path. Unlinks its chained in-edges, charges
+    [cost.invalidate_block] to this runtime's CPU, counts it under
+    [Counters.Evictions] and emits {!Ev_evict}. The block keeps its
+    heat, so the next dispatch to it re-translates. The serving layer
+    evicts from its shared cache through the runtime of the session
+    whose slice caused the pressure. *)
+val evict_block : t -> Code_cache.block_rec -> unit
 
 (** Demote (or restore) this runtime to OS-fixup-only trap service —
     the per-site [degrade_after] machinery at whole-runtime

@@ -124,7 +124,7 @@ let check (plan : Mt_plan.t) ~mech =
     let tr = List.nth r.Srv.Scheduler.tenants storm_tid in
     if not tr.Srv.Scheduler.demoted then
       problem "storm tenant t%d not demoted under %s (traps %Ld <= %d?)" storm_tid
-        mech tr.Srv.Scheduler.t_traps plan.Mt_plan.storm_traps;
+        mech tr.Srv.Scheduler.t_stats.Bt.Run_stats.traps plan.Mt_plan.storm_traps;
     (* neighbour throughput: at most 10% slower than running alone.
        One-sided on purpose: a deferred session can start after a
        sibling already translated and patched their shared blocks,
@@ -134,7 +134,7 @@ let check (plan : Mt_plan.t) ~mech =
       (fun (ntr : Srv.Scheduler.tenant_report) ->
         let tid = ntr.Srv.Scheduler.t_tid in
         if tid <> storm_tid && ntr.Srv.Scheduler.submissions > 0 then begin
-          let shared_cy = ntr.Srv.Scheduler.t_cycles in
+          let shared_cy = ntr.Srv.Scheduler.t_stats.Bt.Run_stats.cycles in
           let iso_cy =
             Srv.Scheduler.isolated_cycles ~tenants:plan.Mt_plan.tenants cfg specs tid
           in

@@ -52,22 +52,14 @@ type session_report = {
   restarts : int;
   dispatches : int;
   hits : int;
-  guest_insns : int64;
-  cycles : int64;
-  traps : int64;
-  translations : int;
-  patches : int;
-  patch_faults : int;
+  stats : Bt.Run_stats.t;
 }
 
 type tenant_report = {
   t_tid : int;
   submissions : int;
   demoted : bool;
-  t_guest_insns : int64;
-  t_cycles : int64;
-  t_traps : int64;
-  t_translations : int;
+  t_stats : Bt.Run_stats.t;
   evictions_suffered : int;
   t_dispatches : int;
   t_hits : int;
@@ -87,8 +79,6 @@ type report = {
   evictions : int;
   p99_trap_cycles : int64;
   max_backoff_used : int;
-  total_cycles : int64;
-  total_guest_insns : int64;
   cache_live_insns : int;
   cache_blocks : int;
 }
@@ -98,7 +88,6 @@ type outcome = {
   finals : Session.t option list;
   counters : Bt.Counters.t;
   agg_stats : Bt.Run_stats.t;
-  shared : Shared_cache.t;
 }
 
 type state = Waiting | Queued | Live | Backoff | Done
@@ -137,6 +126,9 @@ let absorb m (s : Session.t) =
   m.m_hits <- m.m_hits + s.Session.hits
 
 let validate cfg specs ~tenants =
+  (match cfg.capacity with
+  | Some c when c < 1 -> invalid_arg "Scheduler: capacity must be >= 1"
+  | _ -> ());
   if cfg.max_live < 1 then invalid_arg "Scheduler: max_live must be >= 1";
   if cfg.queue_limit < 0 then invalid_arg "Scheduler: queue_limit must be >= 0";
   if cfg.slice_fuel < 1 then invalid_arg "Scheduler: slice_fuel must be >= 1";
@@ -162,6 +154,44 @@ let p99 samples =
     let n = Array.length a in
     a.((((99 * n) + 99) / 100) - 1)
 
+let enforce ~tenants ~capacity ~for_tenant (rt : Bt.Runtime.t) =
+  let cache = rt.Bt.Runtime.cache in
+  if Bt.Code_cache.live_insns cache <= capacity then []
+  else begin
+    let share = capacity / tenants in
+    let owner (b : Bt.Code_cache.block_rec) = Tenants.owner_of b.start in
+    let in_range o = o >= 0 && o < tenants in
+    (* live occupancy per tenant, maintained across the eviction loop *)
+    let live = Array.make tenants 0 in
+    Bt.Code_cache.iter_blocks cache (fun b ->
+        let o = owner b in
+        if in_range o then live.(o) <- live.(o) + Bt.Code_cache.block_live_insns b);
+    (* the pressuring tenant's own blocks always, a neighbour's only if
+       evicting it leaves that neighbour at or above its guaranteed
+       share — eviction is block-granular, so the post-state is what
+       the guarantee is about *)
+    let eligible b =
+      let o = owner b in
+      o = for_tenant || (not (in_range o))
+      || live.(o) - Bt.Code_cache.block_live_insns b >= share
+    in
+    let rec go victims =
+      if Bt.Code_cache.live_insns cache <= capacity then List.rev victims
+      else
+        match Bt.Code_cache.lru_victim cache ~eligible with
+        | Some b ->
+          let o = owner b in
+          if in_range o then live.(o) <- live.(o) - Bt.Code_cache.block_live_insns b;
+          Bt.Runtime.evict_block rt b;
+          go (o :: victims)
+        | None ->
+          (* every remaining block is some under-share neighbour's:
+             overshoot rather than break the fairness guarantee *)
+          List.rev victims
+    in
+    go []
+  end
+
 let run ?sink ?tenants:(ntenants = 0) cfg specs =
   let ntenants =
     if ntenants > 0 then ntenants
@@ -169,10 +199,8 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
   in
   validate cfg specs ~tenants:ntenants;
   let counters = Bt.Counters.create () in
-  let shared =
-    Shared_cache.create ?capacity:cfg.capacity ~tenants:ntenants
-      ~owner_of:Tenants.owner_of ()
-  in
+  let cache = Bt.Code_cache.create () in
+  let evictions = ref 0 in
   let tstates =
     Array.init ntenants (fun tid ->
         { ts_tid = tid; demoted = false; window = []; round_translations = 0; evicted = 0 })
@@ -230,7 +258,7 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
     in
     let mem = m.m_spec.fresh_mem () in
     let sess =
-      Session.create ~cache:(Shared_cache.cache shared)
+      Session.create ~cache
         ?crash_at:(if m.m_restarts = 0 then m.crash_pending else None)
         ~sid:m.m_sid ~tid:m.m_spec.tid ~config ~mem ~entry:m.m_spec.entry ()
     in
@@ -327,18 +355,17 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
             end;
             if (not ts.demoted) && window_sum ts > cfg.storm_traps then
               demote_tenant ts;
-            (* capacity enforcement is charged to the tenant that just
-               ran — its pressure, its cost *)
-            Shared_cache.enforce shared ~for_tenant:m.m_spec.tid
-              ~on_evict:(fun ~victim_tenant ~block ~freed ->
-                if victim_tenant >= 0 && victim_tenant < ntenants then
-                  tstates.(victim_tenant).evicted <-
-                    tstates.(victim_tenant).evicted + 1;
-                Machine.Cpu.charge cpu rt.Bt.Runtime.config.Bt.Runtime.cost.Machine.Cost_model.invalidate_block;
-                match sink with
-                | Some t -> Obs.Trace.push t (Bt.Runtime.Ev_evict { block; freed })
-                | None -> ())
-              ();
+            (* capacity enforcement evicts through the runtime of the
+               tenant that just ran — its pressure, its cost *)
+            (match cfg.capacity with
+            | Some capacity ->
+              List.iter
+                (fun o ->
+                  incr evictions;
+                  if o >= 0 && o < ntenants then
+                    tstates.(o).evicted <- tstates.(o).evicted + 1)
+                (enforce ~tenants:ntenants ~capacity ~for_tenant:m.m_spec.tid rt)
+            | None -> ());
             match st with
             | Session.Running | Session.Degraded -> ()
             | Session.Halted ->
@@ -388,7 +415,6 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
   let session_reports =
     List.map
       (fun m ->
-        let st = m.m_stats in
         {
           sid = m.m_sid;
           s_tid = m.m_spec.tid;
@@ -397,12 +423,7 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
           restarts = m.m_restarts;
           dispatches = m.m_dispatches;
           hits = m.m_hits;
-          guest_insns = st.guest_insns;
-          cycles = st.cycles;
-          traps = st.traps;
-          translations = st.translations;
-          patches = st.patches;
-          patch_faults = st.patch_faults;
+          stats = m.m_stats;
         })
       managed
   in
@@ -410,17 +431,13 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
   let tenant_reports =
     List.init ntenants (fun tid ->
         let mine = List.filter (fun m -> m.m_spec.tid = tid) managed in
-        let st = sum mine in
         let sumi f = List.fold_left (fun s m -> s + f m) 0 mine in
         let count p = List.length (List.filter p mine) in
         {
           t_tid = tid;
           submissions = List.length mine;
           demoted = tstates.(tid).demoted;
-          t_guest_insns = st.guest_insns;
-          t_cycles = st.cycles;
-          t_traps = st.traps;
-          t_translations = st.translations;
+          t_stats = sum mine;
           evictions_suffered = tstates.(tid).evicted;
           t_dispatches = sumi (fun m -> m.m_dispatches);
           t_hits = sumi (fun m -> m.m_hits);
@@ -429,7 +446,6 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
           deferred = count (fun m -> m.m_decision = Some Deferred);
         })
   in
-  let cache = Shared_cache.cache shared in
   let total = sum managed in
   let report =
     {
@@ -440,11 +456,9 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
       demotions = Bt.Counters.geti counters Bt.Counters.Demotions;
       admission_rejects = Bt.Counters.geti counters Bt.Counters.Admission_rejects;
       admission_defers = Bt.Counters.geti counters Bt.Counters.Admission_defers;
-      evictions = Shared_cache.evictions shared;
+      evictions = !evictions;
       p99_trap_cycles = p99 !latencies;
       max_backoff_used = !max_backoff_used;
-      total_cycles = total.cycles;
-      total_guest_insns = total.guest_insns;
       cache_live_insns = Bt.Code_cache.live_insns cache;
       cache_blocks = Bt.Code_cache.num_blocks cache;
     }
@@ -457,7 +471,6 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
         | s :: _ -> Bt.Mechanism.name s.config.Bt.Runtime.mechanism
         | [] -> "none");
       stop = Bt.Run_stats.Halted;
-      evictions = total.evictions + Shared_cache.evictions shared;
       blocks = Bt.Code_cache.num_blocks cache;
       code_len = Bt.Code_cache.length cache;
     }
@@ -467,9 +480,8 @@ let run ?sink ?tenants:(ntenants = 0) cfg specs =
     finals = List.map (fun m -> m.m_sess) managed;
     counters;
     agg_stats;
-    shared;
   }
 
 let isolated_cycles ~tenants cfg specs tid =
   let o = run ~tenants cfg (List.filter (fun s -> s.tid = tid) specs) in
-  (List.nth o.report.tenants tid).t_cycles
+  (List.nth o.report.tenants tid).t_stats.cycles

@@ -1,9 +1,9 @@
 (** The multi-tenant session scheduler: admission control over a
-    bounded run queue, round-robin slicing of live sessions over a
-    shared tenant-fair {!Shared_cache}, a per-tenant trap-storm
-    detector that demotes storming tenants to OS-fixup-only trap
-    service, and a supervisor restarting crashed or fuel-stuck sessions
-    with capped exponential backoff.
+    bounded run queue, round-robin slicing of live sessions over one
+    shared code cache bounded with tenant-fair eviction ({!enforce}), a
+    per-tenant trap-storm detector that demotes storming tenants to
+    OS-fixup-only trap service, and a supervisor restarting crashed or
+    fuel-stuck sessions with capped exponential backoff.
 
     The scheduler is single-threaded and fully deterministic: sessions
     are sliced in submission order, every clock is the simulated cycle
@@ -20,7 +20,8 @@ val decision_to_string : decision -> string
 
 type config = {
   capacity : int option;
-      (** shared code-cache bound in live host insns; [None] unbounded *)
+      (** shared code-cache bound in live host insns, at least 1;
+          [None] unbounded *)
   max_live : int;  (** sessions running concurrently *)
   queue_limit : int;  (** bounded run queue beyond [max_live] *)
   slice_fuel : int;  (** dispatch steps per scheduler slice *)
@@ -64,22 +65,14 @@ type session_report = {
   restarts : int;
   dispatches : int;
   hits : int;
-  guest_insns : int64;
-  cycles : int64;
-  traps : int64;
-  translations : int;
-  patches : int;
-  patch_faults : int;
+  stats : Mda_bt.Run_stats.t;  (** every incarnation's statistics, summed *)
 }
 
 type tenant_report = {
   t_tid : int;
   submissions : int;
   demoted : bool;
-  t_guest_insns : int64;
-  t_cycles : int64;
-  t_traps : int64;
-  t_translations : int;
+  t_stats : Mda_bt.Run_stats.t;  (** the tenant's sessions' [stats], summed *)
   evictions_suffered : int;
       (** this tenant's blocks evicted from the shared cache *)
   t_dispatches : int;
@@ -97,13 +90,11 @@ type report = {
   demotions : int;
   admission_rejects : int;
   admission_defers : int;
-  evictions : int;
+  evictions : int;  (** shared-cache evictions, over every tenant *)
   p99_trap_cycles : int64;
       (** p99 of the per-trap cycle cost proxy (slice cycle delta over
           slice trap delta, sampled once per trap) *)
   max_backoff_used : int;  (** largest restart delay scheduled, rounds *)
-  total_cycles : int64;
-  total_guest_insns : int64;
   cache_live_insns : int;
   cache_blocks : int;
 }
@@ -117,10 +108,28 @@ type outcome = {
           rejects/defers under their declared-once names *)
   agg_stats : Mda_bt.Run_stats.t;
       (** aggregate {!Mda_bt.Run_stats} over all sessions and
-          incarnations — the end record a serve trace embeds, so
-          {!Mda_obs.Trace.replay} cross-checks the interleaved stream *)
-  shared : Shared_cache.t;  (** the shared cache, post-run *)
+          incarnations, shared-cache evictions included — the end
+          record a serve trace embeds, so {!Mda_obs.Trace.replay}
+          cross-checks the interleaved stream *)
 }
+
+(** Bound the shared code cache of [rt] at [capacity] live host insns
+    after tenant [for_tenant] ran a slice on [rt]. Victims go LRU-first
+    ({!Mda_bt.Code_cache.lru_victim}), each evicted through
+    {!Mda_bt.Runtime.evict_block} on [rt]: the tenant whose slice
+    caused the pressure pays for it, and its trace hook records it.
+    Eviction stops when the cache fits or no eligible victim remains,
+    so a single oversized block may overshoot.
+
+    Fairness contract: each of [tenants] tenants (owners by
+    {!Tenants.owner_of}) is guaranteed [capacity / tenants] live host
+    insns. The pressuring tenant's own blocks are always eligible; a
+    neighbour's block only if evicting it leaves that neighbour at or
+    above its guaranteed share. Eviction is block-granular, so the
+    guarantee constrains the post-state. Returns each victim's owning
+    tenant, in eviction order. *)
+val enforce :
+  tenants:int -> capacity:int -> for_tenant:int -> Mda_bt.Runtime.t -> int list
 
 (** Run every submission to a terminal state. [tenants] sizes the
     fairness shares (must exceed every spec's [tid]); [sink], when

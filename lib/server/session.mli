@@ -1,7 +1,7 @@
 (** A step-resumable guest session: one {!Mda_bt.Runtime} driven in
     bounded slices by the serving-layer scheduler instead of run to
     completion. A session owns its guest memory and CPU but may share a
-    code cache with other sessions (see {!Shared_cache}) — translations
+    code cache with other sessions (see {!Scheduler.enforce}) — translations
     are semantics-preserving regardless of which session produced them,
     and tenants occupy disjoint guest-code windows, so reuse across
     sessions (and across crash restarts) is sound. *)

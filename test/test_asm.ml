@@ -281,50 +281,9 @@ let test_host_printer_injective () =
 
 (* --- properties ------------------------------------------------------------ *)
 
-let gen_guest_insn =
-  let open QCheck.Gen in
-  let reg = map G.reg_of_index (int_range 0 7) in
-  let size = oneofl [ G.S1; G.S2; G.S4; G.S8 ] in
-  let imm = map Int32.of_int (int_range (-0x40000000) 0x3FFFFFFF) in
-  let addr =
-    let* disp = int_range (-0x100000) 0x100000 in
-    oneof
-      [ return (G.addr_abs (abs disp));
-        map (fun b -> G.addr_base ~disp b) reg;
-        (let* b = reg and* i = reg and* s = oneofl [ 1; 2; 4; 8 ] in
-         return (G.addr_indexed ~disp ~base:b ~index:i ~scale:s ())) ]
-  in
-  let operand = oneof [ map (fun r -> G.Reg r) reg; map (fun i -> G.Imm i) imm ] in
-  oneof
-    [ (let* dst = reg and* src = addr and* size = size and* signed = bool in
-       return (G.Load { dst; src; size; signed }));
-      (let* src = reg and* dst = addr and* size = size in
-       return (G.Store { src; dst; size }));
-      (let* dst = reg and* imm = imm in
-       return (G.Mov_imm { dst; imm }));
-      (let* dst = reg and* src = reg in
-       return (G.Mov_reg { dst; src }));
-      (let* op = oneofl (Array.to_list G.all_binops) in
-       let* dst = reg and* src = operand in
-       return (G.Binop { op; dst; src }));
-      (let* a = reg and* b = operand in
-       return (G.Cmp { a; b }));
-      (let* dst = reg and* src = addr in
-       return (G.Lea { dst; src }));
-      (let* op = oneofl [ G.Add; G.Sub; G.And; G.Or; G.Xor ] in
-       let* dst = addr and* src = operand and* size = oneofl [ G.S1; G.S2; G.S4 ] in
-       return (G.Rmw { op; dst; src; size }));
-      map (fun r -> G.Push r) reg;
-      map (fun t -> G.Jmp t) (int_range 0 0xFFFFFF);
-      (let* cond = oneofl (Array.to_list G.all_conds) in
-       let* target = int_range 0 0xFFFFFF in
-       return (G.Jcc { cond; target }));
-      return G.Ret;
-      return G.Halt ]
-
 let prop_guest_parse_pretty =
   QCheck.Test.make ~name:"guest parse(pretty i) = Ok i" ~count:2000
-    (QCheck.make gen_guest_insn ~print:GPr.insn_to_string)
+    (QCheck.make Test_util.gen_guest_insn ~print:GPr.insn_to_string)
     (fun insn -> GP.insn (GPr.insn_to_string insn) = Ok insn)
 
 (* Whole programs: join the pretty lines and reassemble; the parsed
@@ -332,7 +291,9 @@ let prop_guest_parse_pretty =
    binary image. *)
 let prop_guest_program_text =
   QCheck.Test.make ~name:"guest program text reassembles identically" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 40) (make gen_guest_insn ~print:GPr.insn_to_string))
+    QCheck.(
+      list_of_size Gen.(int_range 1 40)
+        (make Test_util.gen_guest_insn ~print:GPr.insn_to_string))
     (fun prog ->
       let text =
         String.concat "\n" (List.map GPr.insn_to_string prog) ^ "\nhlt\n"
@@ -344,44 +305,10 @@ let prop_guest_program_text =
         && (let image, _ = GE.encode_program p.GA.insns in
             Bytes.equal image p.GA.image))
 
-let gen_host_insn =
-  let open QCheck.Gen in
-  let reg = int_range 0 31 in
-  let disp = int_range (-0x8000) 0x7FFF in
-  let operand = oneof [ map (fun r -> H.Rb r) reg; map (fun l -> H.Lit l) (int_range 0 255) ] in
-  let target = int_range 0 100000 in
-  oneof
-    [ (let* mk = oneofl host_mem_builders and* ra = reg and* rb = reg and* d = disp in
-       return (mk ra rb d));
-      (let* op = oneofl (Array.to_list H.all_opers) in
-       let* ra = reg and* rb = operand and* rc = reg in
-       return (H.Opr { op; ra; rb; rc }));
-      (let* op = oneofl [ H.Ext; H.Ins; H.Msk ] in
-       let* width = oneofl [ 2; 4; 8 ] and* high = bool in
-       let* ra = reg and* rb = operand and* rc = reg in
-       return (H.Bytem { op; width; high; ra; rb; rc }));
-      (let* ra = reg and* target = target in
-       return (H.Br { ra; target }));
-      (let* cond = oneofl (Array.to_list H.all_bconds) in
-       let* ra = reg and* target = target in
-       return (H.Bcond { cond; ra; target }));
-      (let* ra = reg and* rb = reg in
-       return (H.Jmp { ra; rb }));
-      oneof
-        [ map (fun a -> H.Monitor (H.Next_guest a)) (int_range 0 0xFFFFFF);
-          map (fun r -> H.Monitor (H.Dyn_guest r)) reg;
-          return (H.Monitor H.Prog_halt) ];
-      return H.Nop ]
-
 let prop_host_parse_pretty =
   QCheck.Test.make ~name:"host parse(pretty i) = Ok i" ~count:2000
-    (QCheck.make gen_host_insn ~print:HPr.insn_to_string)
+    (QCheck.make Test_util.gen_host_insn ~print:HPr.insn_to_string)
     (fun insn -> HP.insn (HPr.insn_to_string insn) = Ok insn)
-
-let prop_host_codec =
-  QCheck.Test.make ~name:"host decode(encode i) = Ok i" ~count:2000
-    (QCheck.make gen_host_insn ~print:HPr.insn_to_string)
-    (fun insn -> HE.decode ~pc:host_pc (HE.encode ~pc:host_pc insn) = Ok insn)
 
 (* --- regressions: the asymmetries the fuzzer flushed out ------------------ *)
 
@@ -611,8 +538,7 @@ let test_fuzz_deterministic () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_guest_parse_pretty; prop_guest_program_text; prop_host_parse_pretty;
-      prop_host_codec ]
+    [ prop_guest_parse_pretty; prop_guest_program_text; prop_host_parse_pretty ]
 
 let suite =
   [ ( "asm.guest",

@@ -196,6 +196,22 @@ let test_scale_rejects_nonsense () =
       "run 164.gzip --scale=-1";
       "run 164.gzip --scale=0" ]
 
+(* a code-cache bound below 1 is a usage error everywhere --cache-capacity
+   is accepted: refused at parse time, naming the option rather than an
+   internal module *)
+let test_capacity_rejects_below_one () =
+  let err = tmp_file "capacity_err.txt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ()) @@ fun () ->
+  List.iter
+    (fun args ->
+      let rc = Sys.command (Printf.sprintf "%s %s > /dev/null 2> %s" exe args err) in
+      Alcotest.(check int) (args ^ " is a usage error") 124 rc;
+      Alcotest.(check bool) (args ^ ": names the option") true
+        (contains ~needle:"--cache-capacity" (slurp err)))
+    [ "all --scale 0.05 --cache-capacity 0";
+      "table1 --scale 0.05 --cache-capacity=-5";
+      "serve --cache-capacity 0" ]
+
 (* a guest store outside simulated memory is the program's fault: a
    one-line diagnostic and exit 3, like an unlowerable instruction *)
 let test_wild_store_exits_3 () =
@@ -399,6 +415,8 @@ let suite =
       Alcotest.test_case "serve report is jobs-invariant" `Quick test_serve_command;
       Alcotest.test_case "--scale rejects non-finite and non-positive values" `Quick
         test_scale_rejects_nonsense;
+      Alcotest.test_case "--cache-capacity rejects values below 1" `Quick
+        test_capacity_rejects_below_one;
       Alcotest.test_case "every subcommand's help renders" `Quick test_every_help_renders;
       Alcotest.test_case "a wild guest store exits 3" `Quick test_wild_store_exits_3;
       Alcotest.test_case "mine --replay and --explain" `Quick test_mine_replay_and_explain;

@@ -198,55 +198,9 @@ let test_addr_indexed_validation () =
 
 (* --- property: random instruction round trip ------------------------------ *)
 
-let gen_guest_insn =
-  let open QCheck.Gen in
-  let reg = map G.reg_of_index (int_range 0 7) in
-  let size = oneofl [ G.S1; G.S2; G.S4; G.S8 ] in
-  let imm = map Int32.of_int (int_range (-0x40000000) 0x3FFFFFFF) in
-  let addr =
-    let* disp = int_range (-0x100000) 0x100000 in
-    oneof
-      [ return (G.addr_abs disp);
-        map (fun b -> G.addr_base ~disp b) reg;
-        (let* b = reg and* i = reg and* s = oneofl [ 1; 2; 4; 8 ] in
-         return (G.addr_indexed ~disp ~base:b ~index:i ~scale:s ())) ]
-  in
-  let operand = oneof [ map (fun r -> G.Reg r) reg; map (fun i -> G.Imm i) imm ] in
-  oneof
-    [ (let* dst = reg and* src = addr and* size = size and* signed = bool in
-       return (G.Load { dst; src; size; signed }));
-      (let* src = reg and* dst = addr and* size = size in
-       return (G.Store { src; dst; size }));
-      (let* dst = reg and* imm = imm in
-       return (G.Mov_imm { dst; imm }));
-      (let* dst = reg and* src = reg in
-       return (G.Mov_reg { dst; src }));
-      (let* op = oneofl (Array.to_list G.all_binops) in
-       let* dst = reg and* src = operand in
-       return (G.Binop { op; dst; src }));
-      (let* a = reg and* b = operand in
-       return (G.Cmp { a; b }));
-      (let* a = reg and* b = operand in
-       return (G.Test { a; b }));
-      (let* dst = reg and* src = addr in
-       return (G.Lea { dst; src }));
-      (let* op = oneofl [ G.Add; G.Sub; G.And; G.Or; G.Xor ] in
-       let* dst = addr and* src = operand and* size = oneofl [ G.S1; G.S2; G.S4 ] in
-       return (G.Rmw { op; dst; src; size }));
-      map (fun r -> G.Push r) reg;
-      map (fun r -> G.Pop r) reg;
-      map (fun t -> G.Jmp t) (int_range 0 0xFFFFFF);
-      (let* cond = oneofl (Array.to_list G.all_conds) in
-       let* target = int_range 0 0xFFFFFF in
-       return (G.Jcc { cond; target }));
-      map (fun t -> G.Call t) (int_range 0 0xFFFFFF);
-      return G.Ret;
-      return G.Nop;
-      return G.Halt ]
-
 let prop_guest_roundtrip =
   QCheck.Test.make ~name:"guest encode/decode round trip" ~count:2000
-    (QCheck.make gen_guest_insn ~print:Mda_guest.Pretty.insn_to_string)
+    (QCheck.make Test_util.gen_guest_insn ~print:Mda_guest.Pretty.insn_to_string)
     (fun insn ->
       let bytes = Enc.encode insn in
       match Dec.decode bytes ~pos:0 with
@@ -255,7 +209,7 @@ let prop_guest_roundtrip =
 
 let prop_program_roundtrip =
   QCheck.Test.make ~name:"guest program encode/decode_all round trip" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 50) (make gen_guest_insn))
+    QCheck.(list_of_size Gen.(int_range 1 50) (make Test_util.gen_guest_insn))
     (fun prog ->
       let image, _ = Enc.encode_program (Array.of_list prog) in
       match Dec.decode_all image with

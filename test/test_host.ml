@@ -297,48 +297,9 @@ let test_decode_rejects_bad_opcode () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected decode error"
 
-(* random host instruction generator for the round-trip property *)
-let gen_host_insn =
-  let open QCheck.Gen in
-  let reg = int_range 0 31 in
-  let disp = int_range (-32768) 32767 in
-  let operand = oneof [ map (fun r -> H.Rb r) reg; map (fun v -> H.Lit v) (int_range 0 255) ] in
-  let mem f = map3 (fun ra rb d -> f ra rb d) reg reg disp in
-  oneof
-    [ mem (fun ra rb disp -> H.Ldbu { ra; rb; disp });
-      mem (fun ra rb disp -> H.Ldwu { ra; rb; disp });
-      mem (fun ra rb disp -> H.Ldl { ra; rb; disp });
-      mem (fun ra rb disp -> H.Ldq { ra; rb; disp });
-      mem (fun ra rb disp -> H.Ldq_u { ra; rb; disp });
-      mem (fun ra rb disp -> H.Stb { ra; rb; disp });
-      mem (fun ra rb disp -> H.Stw { ra; rb; disp });
-      mem (fun ra rb disp -> H.Stl { ra; rb; disp });
-      mem (fun ra rb disp -> H.Stq { ra; rb; disp });
-      mem (fun ra rb disp -> H.Stq_u { ra; rb; disp });
-      mem (fun ra rb disp -> H.Lda { ra; rb; disp });
-      mem (fun ra rb disp -> H.Ldah { ra; rb; disp });
-      (let* op = oneofl (Array.to_list H.all_opers) in
-       let* ra = reg and* rb = operand and* rc = reg in
-       return (H.Opr { op; ra; rb; rc }));
-      (let* op = oneofl [ H.Ext; H.Ins; H.Msk ] in
-       let* width = oneofl [ 2; 4; 8 ] in
-       let* high = bool and* ra = reg and* rb = operand and* rc = reg in
-       return (H.Bytem { op; width; high; ra; rb; rc }));
-      (let* ra = reg and* target = int_range 0 100000 in
-       return (H.Br { ra; target }));
-      (let* cond = oneofl (Array.to_list H.all_bconds) in
-       let* ra = reg and* target = int_range 0 100000 in
-       return (H.Bcond { cond; ra; target }));
-      (let* ra = reg and* rb = reg in
-       return (H.Jmp { ra; rb }));
-      map (fun g -> H.Monitor (H.Next_guest g)) (int_range 0 0xFFFFFF);
-      map (fun r -> H.Monitor (H.Dyn_guest r)) reg;
-      return (H.Monitor H.Prog_halt);
-      return H.Nop ]
-
 let prop_host_roundtrip =
   QCheck.Test.make ~name:"host encode/decode round trip" ~count:2000
-    (QCheck.make gen_host_insn ~print:Mda_host.Pretty.insn_to_string)
+    (QCheck.make Test_util.gen_host_insn ~print:Mda_host.Pretty.insn_to_string)
     (fun insn ->
       let pc = 50000 in
       match Enc.decode ~pc (Enc.encode ~pc insn) with

@@ -83,6 +83,21 @@ let test_fuel_exhaustion () =
     (stats.Bt.Run_stats.stop = Bt.Run_stats.Fuel_exhausted);
   Alcotest.(check bool) "fuel_left never negative" true (t.Bt.Runtime.fuel_left >= 0)
 
+(* a code-cache bound below one host instruction can hold nothing: the
+   runtime refuses it up front instead of evicting every translation *)
+let test_capacity_below_one_rejected () =
+  List.iter
+    (fun cap ->
+      let config =
+        { (Bt.Runtime.default_config Bt.Mechanism.Direct) with
+          faults = { Bt.Runtime.no_faults with cache_capacity = Some cap } }
+      in
+      let mem = Mda_machine.Memory.create ~size_bytes:4096 in
+      match Bt.Runtime.create ~config ~mem () with
+      | _ -> Alcotest.failf "capacity %d accepted" cap
+      | exception Invalid_argument _ -> ())
+    [ 0; -5 ]
+
 let test_tiny_fuel_accounting () =
   (* regression for the fuel-accounting bug: a translated block whose
      executed-instruction count exceeds the remaining fuel used to drive
@@ -451,6 +466,8 @@ let suite =
     ( "runtime.edges",
       [ Alcotest.test_case "jump into garbage" `Quick test_jump_into_garbage;
         Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion;
+        Alcotest.test_case "cache capacity below 1 rejected" `Quick
+          test_capacity_below_one_rejected;
         Alcotest.test_case "tiny-fuel accounting" `Quick test_tiny_fuel_accounting;
         Alcotest.test_case "halt stop reason" `Quick test_halt_stop_reason;
         Alcotest.test_case "guest-instruction bound" `Quick test_max_guest_insns_bound;

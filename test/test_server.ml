@@ -298,7 +298,7 @@ let test_storm_demotion () =
       s.Srv.Session.rt.Bt.Runtime.os_fixup_only
   | None -> Alcotest.fail "storm session missing");
   Alcotest.(check bool) "storm tenant still trapped" true
-    Int64.(compare (tr 1).Srv.Scheduler.t_traps 0L > 0)
+    Int64.(compare (tr 1).Srv.Scheduler.t_stats.Bt.Run_stats.traps 0L > 0)
 
 (* --- determinism ------------------------------------------------------- *)
 
@@ -357,13 +357,56 @@ let test_serve_trace_replay () =
         (stats = o.Srv.Scheduler.agg_stats)
     | Error e -> Alcotest.failf "serve trace replay failed: %s" e)
 
+(* --- shared-cache eviction accounting ------------------------------------ *)
+
+(* Every shared-cache eviction goes through one runtime's evict_block,
+   so the five places that count evictions must agree: the sessions'
+   statistics, the report, the aggregate, the trace and the per-tenant
+   tallies. *)
+let test_eviction_accounting () =
+  let tspecs = Srv.Tenants.derive ~noisy:[ 1 ] ~seed:31L ~tenants:3 () in
+  let specs =
+    List.concat_map (fun t -> [ spec_of t "eh"; spec_of ~arrival:1 t "eh" ]) tspecs
+  in
+  let sink = Obs.Trace.create () in
+  let cfg =
+    { Srv.Scheduler.default_config with Srv.Scheduler.capacity = Some 120 }
+  in
+  let o = Srv.Scheduler.run ~sink ~tenants:3 cfg specs in
+  let r = o.Srv.Scheduler.report in
+  let sessions =
+    List.fold_left
+      (fun n (s : Srv.Scheduler.session_report) ->
+        n + s.Srv.Scheduler.stats.Bt.Run_stats.evictions)
+      0 r.Srv.Scheduler.sessions
+  in
+  let traced =
+    List.length
+      (List.filter
+         (fun (rc : Obs.Trace.record) ->
+           match rc.Obs.Trace.ev with Bt.Runtime.Ev_evict _ -> true | _ -> false)
+         (Obs.Trace.records sink))
+  in
+  let suffered =
+    List.fold_left
+      (fun n (t : Srv.Scheduler.tenant_report) -> n + t.Srv.Scheduler.evictions_suffered)
+      0 r.Srv.Scheduler.tenants
+  in
+  Alcotest.(check bool) "the bound evicts" true (sessions > 0);
+  Alcotest.(check int) "report = sessions" sessions r.Srv.Scheduler.evictions;
+  Alcotest.(check int) "aggregate = sessions" sessions
+    o.Srv.Scheduler.agg_stats.Bt.Run_stats.evictions;
+  Alcotest.(check int) "Ev_evict records = sessions" sessions traced;
+  Alcotest.(check int) "evictions suffered = sessions" sessions suffered
+
 (* --- eviction fairness (qcheck) ---------------------------------------- *)
 
 (* Fabricate a shared cache holding blocks for two tenants with equal
-   quotas, then apply arbitrary eviction pressure from one tenant.
-   Invariant: the victimized neighbour's live occupancy never drops
-   below its guaranteed share (capacity / 2) — or below where it
-   already was, if it started under-share. *)
+   quotas, then apply arbitrary eviction pressure from one tenant
+   through the scheduler's enforcement. Invariant: the victimized
+   neighbour's live occupancy never drops below its guaranteed share
+   (capacity / 2) — or below where it already was, if it started
+   under-share. *)
 let prop_eviction_fairness =
   QCheck.Test.make ~name:"shared-cache eviction fairness" ~count:200
     QCheck.(
@@ -372,11 +415,17 @@ let prop_eviction_fairness =
         (list_of_size Gen.(int_range 1 12) (pair (int_range 1 20) (int_range 0 1000))))
     (fun (cap_blocks, blocks0, blocks1) ->
       let capacity = cap_blocks * 10 in
-      let shared =
-        Srv.Shared_cache.create ~capacity ~tenants:2
-          ~owner_of:Srv.Tenants.owner_of ()
+      let rt =
+        Bt.Runtime.create ~mem:(Mda_machine.Memory.create ~size_bytes:4096) ()
       in
-      let cache = Srv.Shared_cache.cache shared in
+      let cache = rt.Bt.Runtime.cache in
+      let tenant_live tid =
+        let sum = ref 0 in
+        Bt.Code_cache.iter_blocks cache (fun b ->
+            if Srv.Tenants.owner_of b.Bt.Code_cache.start = tid then
+              sum := !sum + Bt.Code_cache.block_live_insns b);
+        !sum
+      in
       let add tid i (size, tick) =
         let start = Srv.Tenants.base_of tid + (i * 8) in
         let b = Bt.Code_cache.block cache start in
@@ -390,16 +439,12 @@ let prop_eviction_fairness =
       in
       List.iteri (add 0) blocks0;
       List.iteri (add 1) blocks1;
-      let live0_before = Srv.Shared_cache.tenant_live shared 0 in
-      let live1_before = Srv.Shared_cache.tenant_live shared 1 in
-      let share = Srv.Shared_cache.share shared in
+      let live1_before = tenant_live 1 in
+      let share = capacity / 2 in
       (* tenant 0 is the pressuring tenant *)
-      Srv.Shared_cache.enforce shared ~for_tenant:0
-        ~on_evict:(fun ~victim_tenant:_ ~block:_ ~freed:_ -> ())
-        ();
-      let live0_after = Srv.Shared_cache.tenant_live shared 0 in
-      let live1_after = Srv.Shared_cache.tenant_live shared 1 in
-      ignore live0_before;
+      ignore (Srv.Scheduler.enforce ~tenants:2 ~capacity ~for_tenant:0 rt);
+      let live0_after = tenant_live 0 in
+      let live1_after = tenant_live 1 in
       (* every remaining neighbour block is protected: evicting it
          would breach the share *)
       let neighbour_protected () =
@@ -437,5 +482,7 @@ let suite =
       Alcotest.test_case "serve determinism" `Quick test_determinism;
       Alcotest.test_case "session-tagged trace replay" `Quick
         test_serve_trace_replay;
+      Alcotest.test_case "shared-cache eviction accounting" `Quick
+        test_eviction_accounting;
       ]
       @ qcheck_cases ) ]

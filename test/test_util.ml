@@ -21,6 +21,99 @@ let slurp path = In_channel.with_open_bin path In_channel.input_all
 
 let check_float = Alcotest.(check (float 1e-9))
 
+(* --- QCheck instruction generators ---------------------------------- *)
+
+(* One random guest and one random host instruction generator, shared
+   by the binary round-trip properties (test_guest, test_host) and the
+   text round-trip properties (test_asm), so both cover every
+   instruction form. *)
+
+let gen_guest_insn =
+  let module G = Mda_guest.Isa in
+  let open QCheck.Gen in
+  let reg = map G.reg_of_index (int_range 0 7) in
+  let size = oneofl [ G.S1; G.S2; G.S4; G.S8 ] in
+  let imm = map Int32.of_int (int_range (-0x40000000) 0x3FFFFFFF) in
+  let addr =
+    let* disp = int_range (-0x100000) 0x100000 in
+    oneof
+      [ return (G.addr_abs disp);
+        map (fun b -> G.addr_base ~disp b) reg;
+        (let* b = reg and* i = reg and* s = oneofl [ 1; 2; 4; 8 ] in
+         return (G.addr_indexed ~disp ~base:b ~index:i ~scale:s ())) ]
+  in
+  let operand = oneof [ map (fun r -> G.Reg r) reg; map (fun i -> G.Imm i) imm ] in
+  oneof
+    [ (let* dst = reg and* src = addr and* size = size and* signed = bool in
+       return (G.Load { dst; src; size; signed }));
+      (let* src = reg and* dst = addr and* size = size in
+       return (G.Store { src; dst; size }));
+      (let* dst = reg and* imm = imm in
+       return (G.Mov_imm { dst; imm }));
+      (let* dst = reg and* src = reg in
+       return (G.Mov_reg { dst; src }));
+      (let* op = oneofl (Array.to_list G.all_binops) in
+       let* dst = reg and* src = operand in
+       return (G.Binop { op; dst; src }));
+      (let* a = reg and* b = operand in
+       return (G.Cmp { a; b }));
+      (let* a = reg and* b = operand in
+       return (G.Test { a; b }));
+      (let* dst = reg and* src = addr in
+       return (G.Lea { dst; src }));
+      (let* op = oneofl [ G.Add; G.Sub; G.And; G.Or; G.Xor ] in
+       let* dst = addr and* src = operand and* size = oneofl [ G.S1; G.S2; G.S4 ] in
+       return (G.Rmw { op; dst; src; size }));
+      map (fun r -> G.Push r) reg;
+      map (fun r -> G.Pop r) reg;
+      map (fun t -> G.Jmp t) (int_range 0 0xFFFFFF);
+      (let* cond = oneofl (Array.to_list G.all_conds) in
+       let* target = int_range 0 0xFFFFFF in
+       return (G.Jcc { cond; target }));
+      map (fun t -> G.Call t) (int_range 0 0xFFFFFF);
+      return G.Ret;
+      return G.Nop;
+      return G.Halt ]
+
+let gen_host_insn =
+  let module H = Mda_host.Isa in
+  let open QCheck.Gen in
+  let reg = int_range 0 31 in
+  let disp = int_range (-32768) 32767 in
+  let operand = oneof [ map (fun r -> H.Rb r) reg; map (fun v -> H.Lit v) (int_range 0 255) ] in
+  let mem f = map3 (fun ra rb d -> f ra rb d) reg reg disp in
+  oneof
+    [ mem (fun ra rb disp -> H.Ldbu { ra; rb; disp });
+      mem (fun ra rb disp -> H.Ldwu { ra; rb; disp });
+      mem (fun ra rb disp -> H.Ldl { ra; rb; disp });
+      mem (fun ra rb disp -> H.Ldq { ra; rb; disp });
+      mem (fun ra rb disp -> H.Ldq_u { ra; rb; disp });
+      mem (fun ra rb disp -> H.Stb { ra; rb; disp });
+      mem (fun ra rb disp -> H.Stw { ra; rb; disp });
+      mem (fun ra rb disp -> H.Stl { ra; rb; disp });
+      mem (fun ra rb disp -> H.Stq { ra; rb; disp });
+      mem (fun ra rb disp -> H.Stq_u { ra; rb; disp });
+      mem (fun ra rb disp -> H.Lda { ra; rb; disp });
+      mem (fun ra rb disp -> H.Ldah { ra; rb; disp });
+      (let* op = oneofl (Array.to_list H.all_opers) in
+       let* ra = reg and* rb = operand and* rc = reg in
+       return (H.Opr { op; ra; rb; rc }));
+      (let* op = oneofl [ H.Ext; H.Ins; H.Msk ] in
+       let* width = oneofl [ 2; 4; 8 ] in
+       let* high = bool and* ra = reg and* rb = operand and* rc = reg in
+       return (H.Bytem { op; width; high; ra; rb; rc }));
+      (let* ra = reg and* target = int_range 0 100000 in
+       return (H.Br { ra; target }));
+      (let* cond = oneofl (Array.to_list H.all_bconds) in
+       let* ra = reg and* target = int_range 0 100000 in
+       return (H.Bcond { cond; ra; target }));
+      (let* ra = reg and* rb = reg in
+       return (H.Jmp { ra; rb }));
+      map (fun g -> H.Monitor (H.Next_guest g)) (int_range 0 0xFFFFFF);
+      map (fun r -> H.Monitor (H.Dyn_guest r)) reg;
+      return (H.Monitor H.Prog_halt);
+      return H.Nop ]
+
 (* --- Rng ------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
